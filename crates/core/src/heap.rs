@@ -8,17 +8,20 @@
 //! superblocks live on a separate per-heap list where any size class can
 //! recycle them (with a reformat).
 //!
-//! All fields except the lock and the `u`/`a` counters are touched only
-//! under [`Heap::lock`]; the atomics exist to make the struct `Sync` and
-//! cheaply snapshotable, not for lock-free algorithms.
+//! Every field except the lock itself is *written* only under
+//! [`Heap::lock`] — the `u`/`a`/`empty_count` gauges and the statistics
+//! shard included, which is why they are updated with a plain load +
+//! store rather than an atomic read-modify-write. The atomics exist to
+//! make the struct `Sync` and cheaply snapshotable (readers need no
+//! lock), not for lock-free algorithms.
 
 use crate::list;
 use crate::superblock::Superblock;
 use crate::FULLNESS_GROUPS;
-use hoard_mem::MAX_CLASSES;
-use hoard_sim::VLock;
+use hoard_mem::{AllocSnapshot, StatsShard, MAX_CLASSES};
+use hoard_sim::{single_writer_add, single_writer_sub, VLock};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// Sentinel `group` value for superblocks on the empty list.
 const EMPTY_LIST: u8 = u8::MAX;
@@ -29,7 +32,9 @@ const EMPTY_LIST: u8 = u8::MAX;
 #[repr(align(64))]
 pub(crate) struct Heap {
     pub lock: VLock,
-    /// Bytes in use (`u_i`), in block-size units. Guarded by `lock`.
+    /// Bytes in use (`u_i`), in block-size units. Guarded by `lock`:
+    /// written through [`guarded_add`](Self::guarded_add) /
+    /// [`guarded_sub`](Self::guarded_sub) only.
     pub u: AtomicU64,
     /// Bytes held (`a_i`): superblock_size × owned superblocks. Guarded.
     pub a: AtomicU64,
@@ -38,8 +43,10 @@ pub(crate) struct Heap {
     bins: [[AtomicPtr<Superblock>; FULLNESS_GROUPS + 1]; MAX_CLASSES],
     /// Completely empty superblocks, recyclable by any class.
     empty: AtomicPtr<Superblock>,
-    /// Length of `empty` (telemetry and eviction fast path).
-    pub empty_count: AtomicUsize,
+    /// Length of `empty` (telemetry and eviction fast path). Guarded.
+    empty_count: AtomicU64,
+    /// Event counters for operations that run under `lock`. Guarded.
+    stats: StatsShard,
 }
 
 impl Heap {
@@ -52,8 +59,44 @@ impl Heap {
             bins: [const { [const { AtomicPtr::new(ptr::null_mut()) }; FULLNESS_GROUPS + 1] };
                 MAX_CLASSES],
             empty: AtomicPtr::new(ptr::null_mut()),
-            empty_count: AtomicUsize::new(0),
+            empty_count: AtomicU64::new(0),
+            stats: StatsShard::new(),
         }
+    }
+
+    /// Length of the empty list. Exact for the lock holder; a relaxed
+    /// snapshot for anyone else.
+    pub fn empty_count(&self) -> usize {
+        self.empty_count.load(Ordering::Relaxed) as usize
+    }
+
+    /// `gauge += n` for one of this heap's guarded gauges (`u`, `a`,
+    /// `empty_count`). Lock held — asserted here, the one place — so
+    /// the holder is the only writer and a load + store replaces the
+    /// RMW.
+    #[inline]
+    pub fn guarded_add(&self, gauge: &AtomicU64, n: u64) {
+        self.lock.debug_assert_held("heap gauge written");
+        single_writer_add(gauge, n);
+    }
+
+    /// `gauge -= n`; as for [`guarded_add`](Self::guarded_add).
+    #[inline]
+    pub fn guarded_sub(&self, gauge: &AtomicU64, n: u64) {
+        self.lock.debug_assert_held("heap gauge written");
+        single_writer_sub(gauge, n);
+    }
+
+    /// The statistics shard, for the lock holder to write.
+    #[inline]
+    pub fn stats(&self) -> &StatsShard {
+        self.lock.debug_assert_held("heap stats shard taken");
+        &self.stats
+    }
+
+    /// Sum the shard into a snapshot (read-only, no lock needed).
+    pub fn add_stats_to(&self, snap: &mut AllocSnapshot) {
+        self.stats.add_to(snap);
     }
 
     /// Link `sb` into the fullness group matching its occupancy.
@@ -76,7 +119,7 @@ impl Heap {
     pub unsafe fn unlink(&self, sb: *mut Superblock) {
         if (*sb).group == EMPTY_LIST {
             list::remove(&self.empty, sb);
-            self.empty_count.fetch_sub(1, Ordering::Relaxed);
+            self.guarded_sub(&self.empty_count, 1);
         } else {
             list::remove(&self.bins[(*sb).class as usize][(*sb).group as usize], sb);
         }
@@ -126,7 +169,7 @@ impl Heap {
         debug_assert_eq!((*sb).in_use, 0);
         (*sb).group = EMPTY_LIST;
         list::push_front(&self.empty, sb);
-        self.empty_count.fetch_add(1, Ordering::Relaxed);
+        self.guarded_add(&self.empty_count, 1);
     }
 
     /// Pop a superblock from the empty list (caller reformats if the
@@ -138,7 +181,7 @@ impl Heap {
     pub unsafe fn pop_empty(&self) -> *mut Superblock {
         let sb = list::pop_front(&self.empty);
         if !sb.is_null() {
-            self.empty_count.fetch_sub(1, Ordering::Relaxed);
+            self.guarded_sub(&self.empty_count, 1);
             (*sb).group = 0;
         }
         sb
@@ -232,7 +275,7 @@ impl Heap {
     /// Lock held.
     #[cfg_attr(not(test), allow(dead_code))] // test & validation helper
     pub unsafe fn superblock_count(&self) -> usize {
-        let mut n = self.empty_count.load(Ordering::Relaxed);
+        let mut n = self.empty_count();
         for class_bins in self.bins.iter() {
             for head in class_bins.iter() {
                 n += list::len(head);
@@ -289,6 +332,7 @@ mod tests {
     #[test]
     fn link_find_prefers_fullest() {
         let heap = Heap::new();
+        let _held = heap.lock.lock();
         unsafe {
             let a = make_sb(2, 24);
             let b = make_sb(2, 24);
@@ -317,6 +361,7 @@ mod tests {
     #[test]
     fn full_superblocks_are_not_found() {
         let heap = Heap::new();
+        let _held = heap.lock.lock();
         unsafe {
             let sb = make_sb(0, 8);
             heap.link(sb);
@@ -334,6 +379,7 @@ mod tests {
     #[test]
     fn drained_superblock_moves_to_empty_list() {
         let heap = Heap::new();
+        let _held = heap.lock.lock();
         unsafe {
             let sb = make_sb(0, 8);
             heap.link(sb);
@@ -341,11 +387,11 @@ mod tests {
             heap.relink(sb);
             Superblock::free_block(sb, p);
             heap.relink(sb);
-            assert_eq!(heap.empty_count.load(Ordering::Relaxed), 1);
+            assert_eq!(heap.empty_count(), 1);
             assert!(heap.find_with_free(0).is_null(), "empties are recycled, not found");
             let popped = heap.pop_empty();
             assert_eq!(popped, sb);
-            assert_eq!(heap.empty_count.load(Ordering::Relaxed), 0);
+            assert_eq!(heap.empty_count(), 0);
             drop_sb(sb);
         }
     }
@@ -354,6 +400,7 @@ mod tests {
     fn take_emptiest_prefers_empty_then_f_empty() {
         let cfg = HoardConfig::new().with_empty_fraction(1, 4);
         let heap = Heap::new();
+        let _held = heap.lock.lock();
         unsafe {
             let empty = make_sb(0, 8);
             let nearly_full = make_sb(0, 8);
@@ -388,6 +435,7 @@ mod tests {
     #[test]
     fn superblock_count_spans_all_lists() {
         let heap = Heap::new();
+        let _held = heap.lock.lock();
         unsafe {
             let sbs: Vec<_> = (0..4).map(|_| make_sb(0, 8)).collect();
             Superblock::alloc_block(sbs[1]);

@@ -48,8 +48,10 @@ use hoard_trace::{
 use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::Acquire, Ordering::Release};
-// Every counter update happens under the owning heap's lock, so relaxed
-// ordering suffices throughout.
+// Counters here publish no other data, so relaxed ordering suffices
+// throughout. Who may write which counter, and in what form (load +
+// store under a guard, or an RMW), is tabulated in DESIGN.md §15; each
+// guarded update below names its guard in a `Guard:` comment.
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 
@@ -509,7 +511,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 index: hi,
                 live_bytes: heap.u.load(Relaxed),
                 held_bytes: heap.a.load(Relaxed),
-                empty_superblocks: heap.empty_count.load(Relaxed),
+                empty_superblocks: heap.empty_count(),
                 classes,
             });
         }
@@ -725,7 +727,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         let (p, hit) = match mag.pop() {
             Some(p) => {
                 charge_cost(Cost::MagazineOp);
-                self.stats.on_magazine_alloc_hit();
+                // Guard: `claim` (this slot's shard).
+                claim.stats().on_magazine_alloc_hit();
                 (p, true)
             }
             None => {
@@ -748,7 +751,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         };
         let block_size = self.classes.class(class).block_size;
         self.prepare_block_for_handout(p, block_size);
-        self.stats.on_alloc(block_size as u64);
+        // Guard: `claim`, still held (refill or not, it never dropped).
+        self.stats.on_alloc_in(claim.stats(), block_size as u64);
         self.emit(EventKind::AllocMagazine, class as u32, block_size as u64);
         if let Some(m) = self.metrics_ref() {
             // A refill-then-pop took the heap lock, so only a pop hit
@@ -815,8 +819,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                         let before = Superblock::usable_bytes(sb);
                         Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
                         let after = Superblock::usable_bytes(sb);
-                        heap.a.fetch_add(after, Relaxed);
-                        heap.a.fetch_sub(before, Relaxed);
+                        // Guard: `_guard` (heap `hi`'s lock), as for
+                        // every `heap` update in this function.
+                        heap.guarded_add(&heap.a, after);
+                        heap.guarded_sub(&heap.a, before);
                     }
                     heap.link(sb);
                 }
@@ -845,7 +851,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     hi,
                     self.block_extra(),
                 );
-                heap.a.fetch_add(Superblock::usable_bytes(sb), Relaxed);
+                heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
                 heap.link(sb);
             }
             if Superblock::remote_pending(sb) {
@@ -870,7 +876,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 taken += 1;
                 got += 1;
             }
-            heap.u.fetch_add(taken * block_size as u64, Relaxed);
+            heap.guarded_add(&heap.u, taken * block_size as u64);
             heap.relink(sb);
             if !self.policy().f_empty_blocks((*sb).in_use, (*sb).capacity) {
                 (*sb).armed = true;
@@ -913,8 +919,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             mag.push(payload);
             charge_cost(Cost::MagazineOp);
-            self.stats.on_magazine_free_hit();
-            self.stats.on_free(block_size as u64, false);
+            // Guard: `claim` (this slot's shard).
+            claim.stats().on_magazine_free_hit();
+            self.stats
+                .on_free_in(claim.stats(), block_size as u64, false);
             self.emit(EventKind::FreeMagazine, class as u32, 0);
             if let Some(m) = self.metrics_ref() {
                 m.on_free(owner, class, true);
@@ -932,6 +940,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             let _ = Superblock::push_remote(sb, payload);
             charge_cost(Cost::RemoteFreePush);
+            // No guard: neither a claim nor the owner's lock is held
+            // on a deferred push, so these stay RMWs on the shared cell.
             self.stats.on_remote_push();
             self.stats.on_free(block_size as u64, true);
             self.emit(EventKind::RemoteFreePush, (*sb).class, owner as u64);
@@ -1009,11 +1019,11 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 let pol = self.policy();
                 let was_f_empty = pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
                 Superblock::free_block(sb, p);
-                heap.u.fetch_sub((*sb).block_size as u64, Relaxed);
+                // Guard: `_guard` (heap `hi`'s lock).
+                heap.guarded_sub(&heap.u, (*sb).block_size as u64);
                 heap.relink(sb);
                 let crossed = !was_f_empty && pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                let too_many_empties =
-                    (*sb).in_use == 0 && heap.empty_count.load(Relaxed) > pol.slack_k;
+                let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
                 trigger |= ((*sb).armed && crossed) || too_many_empties;
                 if crossed {
                     (*sb).armed = false;
@@ -1054,13 +1064,13 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             Superblock::free_block(sb, p);
             p = next;
         }
-        heap.u.fetch_sub(block_size * n as u64, Relaxed);
+        // Guard: the caller holds `heap`'s lock.
+        heap.guarded_sub(&heap.u, block_size * n as u64);
         heap.relink(sb);
         self.stats.on_remote_drain();
         self.emit(EventKind::RemoteFreeDrain, (*sb).class, n as u64);
         let crossed = !was_f_empty && pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-        let too_many_empties =
-            (*sb).in_use == 0 && heap.empty_count.load(Relaxed) > pol.slack_k;
+        let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
         let trigger = ((*sb).armed && crossed) || too_many_empties;
         if crossed {
             (*sb).armed = false;
@@ -1385,8 +1395,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     }
                     mag.push(payload);
                     charge_cost(Cost::MagazineOp);
-                    self.stats.on_magazine_free_hit();
-                    self.stats.on_free(block_size as u64, false);
+                    // Guard: `claim` (this slot's shard).
+                    claim.stats().on_magazine_free_hit();
+                    self.stats
+                        .on_free_in(claim.stats(), block_size as u64, false);
                     self.emit(EventKind::FreeMagazine, class as u32, 0);
                     if let Some(m) = self.metrics_ref() {
                         m.on_free(self.heap_index_for_current_thread(), class, true);
@@ -1406,6 +1418,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             return;
         }
         let owner = Superblock::owner(sb);
+        // No guard: callers arrive with or without a claim (and never
+        // with the owner's), so these stay RMWs on the shared cell.
         self.stats.on_remote_push();
         self.stats.on_free((*sb).block_size as u64, true);
         self.emit(EventKind::RemoteFreePush, (*sb).class, owner as u64);
@@ -1725,8 +1739,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     let before = Superblock::usable_bytes(sb);
                     Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
                     let after = Superblock::usable_bytes(sb);
-                    heap.a.fetch_add(after, Relaxed);
-                    heap.a.fetch_sub(before, Relaxed);
+                    // Guard: `_guard` (heap `hi`'s lock), as for every
+                    // `heap` update in this function.
+                    heap.guarded_add(&heap.a, after);
+                    heap.guarded_sub(&heap.a, before);
                 }
                 heap.link(sb);
             }
@@ -1749,7 +1765,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 hi,
                 self.block_extra(),
             );
-            heap.a.fetch_add(Superblock::usable_bytes(sb), Relaxed);
+            heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
             heap.link(sb);
         }
 
@@ -1770,14 +1786,15 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if self.config.hardening.poisons() {
             harden::write_canary(payload, block_size);
         }
-        heap.u.fetch_add(block_size as u64, Relaxed);
+        heap.guarded_add(&heap.u, block_size as u64);
         heap.relink(sb);
         // Re-arm the eviction latch once the superblock fills back past
         // the f-emptiness boundary (see `free_small`).
         if !self.policy().f_empty_blocks((*sb).in_use, (*sb).capacity) {
             (*sb).armed = true;
         }
-        self.stats.on_alloc(block_size as u64);
+        // Guard: `_guard` (heap `hi`'s shard).
+        self.stats.on_alloc_in(heap.stats(), block_size as u64);
         self.emit(EventKind::Alloc, class as u32, block_size as u64);
         if let Some(m) = self.metrics_ref() {
             m.on_alloc(hi, class, false);
@@ -1816,8 +1833,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             charge_cost(Cost::AtomicRmw);
             Superblock::set_owner(sb, hi);
             let used = Superblock::used_bytes(sb);
-            heap.a.fetch_add(Superblock::usable_bytes(sb), Relaxed);
-            heap.u.fetch_add(used, Relaxed);
+            // Guard: the caller holds `heap`'s lock.
+            heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
+            heap.guarded_add(&heap.u, used);
             heap.link(sb);
             self.stats.on_transfer_from_global();
             charge_cost(Cost::SuperblockTransfer);
@@ -1850,8 +1868,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             // Debit the global heap at the superblock's *current*
             // geometry; ours is credited at the new one below.
-            global.a.fetch_sub(Superblock::usable_bytes(sb), Relaxed);
-            global.u.fetch_sub(Superblock::used_bytes(sb), Relaxed);
+            // Guard: `_g0` (the global heap's lock).
+            global.guarded_sub(&global.a, Superblock::usable_bytes(sb));
+            global.guarded_sub(&global.u, Superblock::used_bytes(sb));
             Superblock::set_owner(sb, hi);
             sb
         };
@@ -1866,8 +1885,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             );
         }
         let used = Superblock::used_bytes(sb);
-        heap.a.fetch_add(Superblock::usable_bytes(sb), Relaxed);
-        heap.u.fetch_add(used, Relaxed);
+        // Guard: the caller holds `heap`'s lock.
+        heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
+        heap.guarded_add(&heap.u, used);
         heap.link(sb);
         self.stats.on_transfer_from_global();
         charge_cost(Cost::SuperblockTransfer);
@@ -1968,11 +1988,14 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             if self.config.hardening.poisons() {
                 harden::poison_payload(payload, (*sb).block_size);
             }
-            heap.u.fetch_sub(block_size, Relaxed);
+            // Guard: `guard` (heap `owner`'s lock — the block's heap,
+            // not necessarily the caller's), for `u` and the shard.
+            heap.guarded_sub(&heap.u, block_size);
             heap.relink(sb);
 
             let remote = owner != self.heap_index_for_current_thread();
-            self.stats.on_free(block_size, owner == 0 || remote);
+            self.stats
+                .on_free_in(heap.stats(), block_size, owner == 0 || remote);
             self.emit(EventKind::Free, (*sb).class, owner as u64);
             if let Some(m) = self.metrics_ref() {
                 m.on_free(owner, (*sb).class as usize, false);
@@ -1998,8 +2021,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 // it; only when the heap hoards more than K empties does
                 // the drain trigger restoration (K = the paper's bound on
                 // a heap's free-space slack).
-                let too_many_empties = (*sb).in_use == 0
-                    && heap.empty_count.load(Relaxed) > pol.slack_k;
+                let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
                 let trigger = ((*sb).armed && crossed) || too_many_empties || drain_trigger;
                 if crossed {
                     (*sb).armed = false;
@@ -2044,8 +2066,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             if (*victim).in_use != 0 {
                 moved_partial = true;
             }
-            heap.a.fetch_sub(Superblock::usable_bytes(victim), Relaxed);
-            heap.u.fetch_sub(used, Relaxed);
+            // Guard: the caller holds `heap`'s lock.
+            heap.guarded_sub(&heap.a, Superblock::usable_bytes(victim));
+            heap.guarded_sub(&heap.u, used);
 
             if self.config.release_empty_to_os && (*victim).in_use == 0 {
                 // Ablation: drained superblocks go straight back to the OS
@@ -2062,8 +2085,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             let global = &self.heaps[0];
             let _g0 = self.lock_heap(global, 0);
             Superblock::set_owner(victim, 0);
-            global.a.fetch_add(Superblock::usable_bytes(victim), Relaxed);
-            global.u.fetch_add(used, Relaxed);
+            // Guard: `_g0` (the global heap's lock).
+            global.guarded_add(&global.a, Superblock::usable_bytes(victim));
+            global.guarded_add(&global.u, used);
             global.place(victim);
             self.stats.on_transfer_to_global();
             charge_cost(Cost::SuperblockTransfer);
@@ -2086,7 +2110,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             if sb.is_null() {
                 return;
             }
-            global.a.fetch_sub(Superblock::usable_bytes(sb), Relaxed);
+            // Guard: the caller holds the global heap's lock.
+            global.guarded_sub(&global.a, Superblock::usable_bytes(sb));
             self.free_sb_chunk(sb);
         }
     }
@@ -2126,7 +2151,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 if sb.is_null() {
                     break;
                 }
-                heap.a.fetch_sub(Superblock::usable_bytes(sb), Relaxed);
+                // Guard: `_guard` (heap `hi`'s lock).
+                heap.guarded_sub(&heap.a, Superblock::usable_bytes(sb));
                 self.free_sb_chunk(sb);
                 here += 1;
             }
@@ -2270,6 +2296,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 }
                 match large::free_large(&self.source, header.value) {
                     Some(size) => {
+                        // No guard on the large path: RMWs on the
+                        // shared cell.
                         self.stats.on_free(size as u64, false);
                         self.emit(EventKind::FreeLarge, 0, size as u64);
                     }
@@ -2397,7 +2425,14 @@ unsafe impl<Src: ChunkSource> MtAllocator for HoardAllocator<Src> {
     }
 
     fn stats(&self) -> AllocSnapshot {
-        self.stats.snapshot().with_source(self.source.stats())
+        let mut snap = self.stats.snapshot();
+        for heap in self.heaps.iter() {
+            heap.add_stats_to(&mut snap);
+        }
+        for slot in self.frontend.iter() {
+            slot.add_stats_to(&mut snap);
+        }
+        snap.with_source(self.source.stats())
     }
 
     unsafe fn usable_size(&self, ptr: NonNull<u8>) -> usize {
@@ -2446,6 +2481,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     }
                 };
                 self.large_remember(read_header(p.as_ptr()).value);
+                // No guard on the large path: RMWs on the shared cell.
                 self.stats.on_alloc(size as u64);
                 self.emit(EventKind::AllocLarge, 0, size as u64);
                 Some(p)
@@ -2497,6 +2533,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             Tag::Large => {
                 let size = large::free_large(&self.source, header.value)
                     .expect("corrupt large-object header");
+                // No guard on the large path: RMWs on the shared cell.
                 self.stats.on_free(size as u64, false);
                 self.emit(EventKind::FreeLarge, 0, size as u64);
             }
@@ -2537,10 +2574,13 @@ impl<Src: ChunkSource> Drop for HoardAllocator<Src> {
         }
         for heap in self.heaps.iter() {
             unsafe {
+                // Collected first (freeing invalidates the links), then
+                // freed without unlinking: the lists die with `self`,
+                // and `&mut self` stands in for the lock the guarded
+                // list bookkeeping would otherwise assert.
                 let mut chunks: Vec<*mut Superblock> = Vec::new();
                 heap.for_each_superblock(|sb| chunks.push(sb));
                 for sb in chunks {
-                    heap.unlink(sb);
                     self.free_sb_chunk(sb);
                 }
             }

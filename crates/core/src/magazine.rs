@@ -27,6 +27,7 @@
 use crate::list;
 use crate::superblock::Superblock;
 use crate::HoardConfig;
+use hoard_mem::{AllocSnapshot, StatsShard};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
@@ -314,6 +315,9 @@ pub(crate) struct MagazineSlot {
     /// A separate cell so `&mut SlotHeap` and `&mut Magazine` borrows
     /// never derive from the same place.
     backend: UnsafeCell<SlotHeap>,
+    /// Event counters for operations that run under the claim; written
+    /// only through [`SlotClaim::stats`].
+    stats: StatsShard,
 }
 
 // Safety: `mags` is only touched through a `SlotClaim`, and `claimed`
@@ -327,11 +331,18 @@ impl MagazineSlot {
             claimed: AtomicBool::new(false),
             mags: UnsafeCell::new([const { Magazine::new() }; MAG_CLASSES]),
             backend: UnsafeCell::new(SlotHeap::new()),
+            stats: StatsShard::new(),
         }
+    }
+
+    /// Sum the shard into a snapshot (read-only, no claim needed).
+    pub fn add_stats_to(&self, snap: &mut AllocSnapshot) {
+        self.stats.add_to(snap);
     }
 
     /// Claim exclusive access for one operation; `None` when another
     /// claimant holds the slot (caller falls back to the locked path).
+    #[inline]
     pub fn try_claim(&self) -> Option<SlotClaim<'_>> {
         if self.claimed.swap(true, Ordering::Acquire) {
             return None;
@@ -360,9 +371,19 @@ impl SlotClaim<'_> {
     pub fn heap(&self) -> &mut SlotHeap {
         unsafe { &mut *self.slot.backend.get() }
     }
+
+    /// The slot's statistics shard, for the claimant to write. Nothing
+    /// to assert: a `SlotClaim` exists only between a won `try_claim`
+    /// and its drop, so having one *is* being the shard's only writer,
+    /// and the claim flag's Acquire/Release orders successive claimants.
+    #[inline]
+    pub fn stats(&self) -> &StatsShard {
+        &self.slot.stats
+    }
 }
 
 impl Drop for SlotClaim<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.slot.claimed.store(false, Ordering::Release);
     }

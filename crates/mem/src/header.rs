@@ -38,6 +38,7 @@ impl Tag {
     /// Decode a tag, or `None` for bit patterns no allocator emits.
     /// Hardened deallocation paths use this to classify wild pointers
     /// without panicking.
+    #[inline]
     pub fn try_from_bits(bits: usize) -> Option<Tag> {
         match bits {
             0 => Some(Tag::Superblock),
@@ -49,6 +50,7 @@ impl Tag {
         }
     }
 
+    #[inline]
     fn from_bits(bits: usize) -> Tag {
         Tag::try_from_bits(bits).expect("unassigned header tag bits")
     }
@@ -72,12 +74,14 @@ impl HeaderWord {
     /// Panics if `value` has any of its low three bits set (pointer
     /// payloads must be 8-aligned; integer payloads must be pre-shifted
     /// by the caller via [`HeaderWord::from_int`]).
+    #[inline]
     pub fn new(tag: Tag, value: usize) -> Self {
         assert_eq!(value & TAG_MASK, 0, "header payload must be 8-aligned");
         HeaderWord { tag, value }
     }
 
     /// Encode an integer payload (shifted into the upper bits).
+    #[inline]
     pub fn from_int(tag: Tag, int: usize) -> Self {
         HeaderWord {
             tag,
@@ -86,14 +90,17 @@ impl HeaderWord {
     }
 
     /// Decode an integer payload written by [`HeaderWord::from_int`].
+    #[inline]
     pub fn to_int(self) -> usize {
         self.value >> 3
     }
 
+    #[inline]
     fn encode(self) -> usize {
         self.value | self.tag as usize
     }
 
+    #[inline]
     fn decode(word: usize) -> Self {
         HeaderWord {
             tag: Tag::from_bits(word & TAG_MASK),
@@ -108,6 +115,7 @@ impl HeaderWord {
 ///
 /// The `HEADER_SIZE` bytes immediately before `payload` must be valid for
 /// writes and reserved for the header; `payload` must be 8-aligned.
+#[inline]
 pub unsafe fn write_header(payload: *mut u8, word: HeaderWord) {
     debug_assert_eq!(payload as usize % MIN_ALIGN, 0);
     let slot = payload.sub(HEADER_SIZE) as *mut usize;
@@ -120,6 +128,7 @@ pub unsafe fn write_header(payload: *mut u8, word: HeaderWord) {
 ///
 /// `payload` must point at a live block previously prepared with
 /// [`write_header`].
+#[inline]
 pub unsafe fn read_header(payload: *mut u8) -> HeaderWord {
     debug_assert_eq!(payload as usize % MIN_ALIGN, 0);
     let slot = payload.sub(HEADER_SIZE) as *mut usize;
@@ -134,6 +143,7 @@ pub unsafe fn read_header(payload: *mut u8) -> HeaderWord {
 ///
 /// The `HEADER_SIZE` bytes before `payload` must be readable; `payload`
 /// must be 8-aligned.
+#[inline]
 pub unsafe fn try_read_header(payload: *mut u8) -> Option<HeaderWord> {
     debug_assert_eq!(payload as usize % MIN_ALIGN, 0);
     let slot = payload.sub(HEADER_SIZE) as *mut usize;

@@ -21,6 +21,24 @@ pub struct SizeClass {
     pub block_size: u32,
 }
 
+/// Sizes up to here are exact 8-byte classes, resolved arithmetically;
+/// larger ones go through [`SizeClassTable::tail`].
+const LINEAR_MAX: usize = 128;
+
+/// `log2(LINEAR_MAX)`: the octave of the first tail bucket.
+const TAIL_FIRST_OCTAVE: u32 = LINEAR_MAX.ilog2();
+
+/// Each octave `[2^k, 2^(k+1))` of the tail splits into `2^3` buckets by
+/// the three bits below the leading one, so a bucket spans a ratio of at
+/// most 9/8 — narrower than the 6/5 between geometric classes.
+const TAIL_SUB_BITS: u32 = 3;
+
+/// Octaves the tail table covers: sizes below `2^19`, beyond what
+/// [`MAX_CLASSES`] classes can reach.
+const TAIL_OCTAVES: usize = 12;
+
+const TAIL_LEN: usize = TAIL_OCTAVES << TAIL_SUB_BITS;
+
 /// The full table of size classes for a given superblock size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SizeClassTable {
@@ -28,6 +46,14 @@ pub struct SizeClassTable {
     count: usize,
     /// Largest size served from superblocks (== largest block_size).
     max_size: usize,
+    /// Size → class for the geometric tail: `tail[bucket]` is the first
+    /// class that fits the *smallest* size of the bucket (see
+    /// [`tail_bucket`](Self::tail_bucket)), so a lookup starts there and
+    /// steps forward past at most the class boundaries inside one bucket.
+    /// Why a table: scanning up from class 16 takes 11–17 compares for
+    /// requests of 2–32 KiB, measured at 2–6 % of the repo benchmark's
+    /// `phase-large` ns per call (results/fast_path_cost.md §3a).
+    tail: [u8; TAIL_LEN],
 }
 
 const fn round8(x: usize) -> usize {
@@ -77,11 +103,42 @@ impl SizeClassTable {
             count += 1;
         }
         let max_size = classes[count - 1].block_size as usize;
+        assert!(
+            max_size >> TAIL_FIRST_OCTAVE < 1 << TAIL_OCTAVES,
+            "size class tail table too short"
+        );
+        let mut tail = [0u8; TAIL_LEN];
+        let mut bucket = 0usize;
+        let mut class = 0usize;
+        while bucket < TAIL_LEN {
+            // Smallest size that maps to `bucket`; they ascend with it.
+            let octave = (bucket >> TAIL_SUB_BITS) as u32 + TAIL_FIRST_OCTAVE;
+            let sub = bucket & ((1 << TAIL_SUB_BITS) - 1);
+            let lowest = ((1 << TAIL_SUB_BITS) + sub) << (octave - TAIL_SUB_BITS);
+            while class < count && (classes[class].block_size as usize) < lowest {
+                class += 1;
+            }
+            // `count` marks buckets past `max_size`; `index_for` rejects
+            // those sizes before it looks here.
+            tail[bucket] = class as u8;
+            bucket += 1;
+        }
         SizeClassTable {
             classes,
             count,
             max_size,
+            tail,
         }
+    }
+
+    /// Index into `tail` for a `size > LINEAR_MAX`: its octave above
+    /// [`TAIL_FIRST_OCTAVE`], then the [`TAIL_SUB_BITS`] bits below the
+    /// leading one.
+    #[inline]
+    const fn tail_bucket(size: usize) -> usize {
+        let octave = size.ilog2();
+        let sub = (size >> (octave - TAIL_SUB_BITS)) & ((1 << TAIL_SUB_BITS) - 1);
+        (((octave - TAIL_FIRST_OCTAVE) as usize) << TAIL_SUB_BITS) | sub
     }
 
     /// Number of classes in the table.
@@ -105,6 +162,7 @@ impl SizeClassTable {
     /// # Panics
     ///
     /// Panics if `index >= self.len()`.
+    #[inline]
     pub const fn class(&self, index: usize) -> SizeClass {
         assert!(index < self.count, "size class index out of range");
         self.classes[index]
@@ -115,24 +173,26 @@ impl SizeClassTable {
     /// path).
     ///
     /// Sizes ≤ 128 are resolved arithmetically (classes there are exact
-    /// 8-byte steps); larger sizes scan the geometric tail.
+    /// 8-byte steps); larger sizes through the bucket table.
+    #[inline]
     pub fn index_for(&self, size: usize) -> Option<usize> {
         if size > self.max_size {
             return None;
         }
-        if size <= 128 {
+        if size <= LINEAR_MAX {
             // Classes 0..=15 are 8, 16, ..., 128.
             return Some((size.max(1) - 1) / 8);
         }
-        // Scan the geometric tail starting after the linear prefix.
-        let mut i = 16;
-        while i < self.count {
-            if self.classes[i].block_size as usize >= size {
-                return Some(i);
-            }
+        // Consecutive tail classes are a factor ~6/5 apart and a bucket
+        // spans at most 9/8, so at most one class boundary falls inside
+        // the bucket — two where the final `S/2` class, appended out of
+        // sequence, sits close behind its predecessor. `size ≤ max_size`
+        // bounds the walk.
+        let mut i = self.tail[Self::tail_bucket(size)] as usize;
+        while (self.classes[i].block_size as usize) < size {
             i += 1;
         }
-        None
+        Some(i)
     }
 
     /// Iterate over the classes.
@@ -203,6 +263,27 @@ mod tests {
                     (TABLE.class(idx - 1).block_size as usize) < size,
                     "size {size} should use the smaller class {idx}"
                 );
+            }
+        }
+    }
+
+    /// The linear scan `index_for` used before the bucket table.
+    fn index_by_scan(t: &SizeClassTable, size: usize) -> Option<usize> {
+        t.iter().position(|c| c.block_size as usize >= size)
+    }
+
+    #[test]
+    fn bucket_table_agrees_with_the_scan_for_every_size() {
+        for shift in 10..=17 {
+            let t = SizeClassTable::for_superblock_size(1 << shift);
+            for size in 1..=t.max_size() + 1 {
+                let found = t.index_for(size);
+                assert_eq!(found, index_by_scan(&t, size), "S = 2^{shift}, size {size}");
+                // ... and the walk from the bucket's first class is short.
+                if size > LINEAR_MAX && size <= t.max_size() {
+                    let start = t.tail[SizeClassTable::tail_bucket(size)] as usize;
+                    assert!(found.unwrap() - start <= 2, "S = 2^{shift}, size {size}");
+                }
             }
         }
     }

@@ -370,8 +370,11 @@ mod tests {
     fn touch_spans_all_lines() {
         let m = CacheModel::new();
         let mut b = buf();
-        // Touch a range crossing 3 lines starting mid-line.
-        m.touch(unsafe { b.as_mut_ptr().add(32) }, 2 * LINE, true);
+        // Touch a range crossing 3 lines starting mid-line. `Box` only
+        // aligns to 1, so find the first line boundary (the spare line
+        // of `buf` absorbs the skew).
+        let skew = b.as_mut_ptr().align_offset(LINE);
+        m.touch(unsafe { b.as_mut_ptr().add(skew + 32) }, 2 * LINE, true);
         assert_eq!(m.remote_transfers() + m.local_hits(), 3);
     }
 

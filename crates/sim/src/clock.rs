@@ -42,11 +42,13 @@ impl VirtualClock {
 }
 
 /// Current virtual time of the calling thread.
+#[inline]
 pub fn now() -> u64 {
     CLOCK.with(|c| c.get())
 }
 
 /// Advance the calling thread's virtual time by `units`.
+#[inline]
 pub fn charge(units: u64) {
     CLOCK.with(|c| {
         let t = c.get() + units;
@@ -60,6 +62,7 @@ pub fn charge(units: u64) {
 /// Used by synchronization primitives ([`crate::VLock`],
 /// [`crate::VBarrier`], [`crate::vchannel`]) to express "this thread
 /// could not have proceeded before virtual time `t`".
+#[inline]
 pub fn set_clock(t: u64) {
     CLOCK.with(|c| {
         if t > c.get() {
@@ -84,6 +87,7 @@ pub(crate) fn reset_clock() {
 /// processor's own timeline stays monotone; it is only the host
 /// thread's view that jumps around. Must not be called from inside a
 /// [`crate::Machine`] worker, whose processor identity is fixed.
+#[inline]
 pub fn switch_context(proc: usize, t: u64) -> (usize, u64) {
     let prev_proc = PROC.with(|p| p.replace(proc));
     let prev_clock = CLOCK.with(|c| c.replace(t));
@@ -98,6 +102,7 @@ pub fn switch_context(proc: usize, t: u64) -> (usize, u64) {
 /// the function never fails and two distinct threads never share an id
 /// (machine processor ids are reused across runs by design — a machine
 /// *is* the set of processors).
+#[inline]
 pub fn current_proc() -> usize {
     PROC.with(|p| {
         let v = p.get();

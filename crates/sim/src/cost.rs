@@ -90,6 +90,7 @@ pub enum Cost {
 
 const N_COSTS: usize = 19;
 
+#[inline]
 fn index(cost: Cost) -> usize {
     match cost {
         Cost::MallocFast => 0,
@@ -373,6 +374,7 @@ static GLOBAL: [AtomicU64; N_COSTS] = {
 };
 
 /// Read one cost from the installed global model (relaxed; hot path).
+#[inline]
 pub(crate) fn get(cost: Cost) -> u64 {
     GLOBAL[index(cost)].load(Ordering::Relaxed)
 }

@@ -81,57 +81,92 @@ impl MachineState {
     }
 }
 
+/// A worker's machine context: the machine it belongs to (an owning
+/// `Arc`, keeping it alive) and its slot index there.
+pub(crate) type MachineCtx = (Arc<MachineState>, usize);
+
+/// Owner of the calling thread's [`MachineCtx`]. Its destructor clears
+/// [`PUBLISH_SLOT`], so a thread that exits while still attached (a
+/// panicking worker) cannot leave the slot pointer behind its `Arc`.
+struct CtxCell(Option<MachineCtx>);
+
+impl Drop for CtxCell {
+    fn drop(&mut self) {
+        // `PUBLISH_SLOT` has no destructor, so it is still accessible
+        // while this thread's other thread-locals are being destroyed.
+        PUBLISH_SLOT.with(|p| p.set(std::ptr::null()));
+    }
+}
+
 thread_local! {
-    /// This worker's machine context (owns an Arc, keeping it alive) +
-    /// slot index.
-    static CTX: std::cell::RefCell<Option<(Arc<MachineState>, usize)>> =
-        const { std::cell::RefCell::new(None) };
+    /// This worker's machine context.
+    static CTX: std::cell::RefCell<CtxCell> = const { std::cell::RefCell::new(CtxCell(None)) };
+    /// `&state.clocks[idx]` of the context in `CTX`, null when detached:
+    /// what [`publish`] stores through, so a charge costs one
+    /// thread-local load instead of a `RefCell` borrow. Only
+    /// [`swap_ctx`] (and `CtxCell`'s destructor) write it, always before
+    /// the `Arc` it points into can be released, so it never dangles.
+    static PUBLISH_SLOT: Cell<*const AtomicU64> = const { Cell::new(std::ptr::null()) };
     /// Depth of currently held [`crate::VLock`]s; gating only at depth 0.
     static LOCK_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
-/// Attach the calling worker to `state` as processor `idx`.
-pub(crate) fn attach(state: &Arc<MachineState>, idx: usize) {
-    CTX.with(|c| *c.borrow_mut() = Some((Arc::clone(state), idx)));
-}
-
 /// Swap the calling thread's machine context wholesale, returning the
 /// previous one (for [`crate::sequential_scope`], which must restore
-/// the caller's context on exit rather than mark it done).
-pub(crate) fn swap_ctx(
-    new: Option<(Arc<MachineState>, usize)>,
-) -> Option<(Arc<MachineState>, usize)> {
-    CTX.with(|c| std::mem::replace(&mut *c.borrow_mut(), new))
+/// the caller's context on exit rather than mark it done). The one
+/// place `CTX` and `PUBLISH_SLOT` change, so they cannot disagree.
+pub(crate) fn swap_ctx(new: Option<MachineCtx>) -> Option<MachineCtx> {
+    let slot = new.as_ref().map_or(std::ptr::null(), |(state, idx)| {
+        &state.clocks[*idx] as *const AtomicU64
+    });
+    // Re-point the slot first: the previous `Arc` goes back to the
+    // caller, who may drop it (and free its clocks) immediately.
+    // `clocks` is never resized, so the new address is stable for as
+    // long as `CTX` holds `new`.
+    PUBLISH_SLOT.with(|p| p.set(slot));
+    CTX.with(|c| std::mem::replace(&mut c.borrow_mut().0, new))
+}
+
+/// Attach the calling worker to `state` as processor `idx`.
+pub(crate) fn attach(state: &Arc<MachineState>, idx: usize) {
+    swap_ctx(Some((Arc::clone(state), idx)));
 }
 
 /// Detach the calling worker (marks it done).
 pub(crate) fn detach() {
-    CTX.with(|c| {
-        if let Some((state, idx)) = c.borrow_mut().take() {
-            state.states[idx].store(STATE_DONE, Ordering::Relaxed);
-        }
-    });
+    if let Some((state, idx)) = swap_ctx(None) {
+        state.states[idx].store(STATE_DONE, Ordering::Relaxed);
+    }
 }
 
 /// Publish the calling worker's clock to its machine slot (no-op for
 /// non-machine threads).
+#[inline]
 pub(crate) fn publish(clock: u64) {
-    CTX.with(|c| {
-        if let Some((state, idx)) = c.borrow().as_ref() {
-            state.clocks[*idx].store(clock, Ordering::Relaxed);
-        }
-    });
+    let slot = PUBLISH_SLOT.with(|p| p.get());
+    if !slot.is_null() {
+        // SAFETY: a non-null `PUBLISH_SLOT` points into the
+        // `MachineState` whose `Arc` this thread's `CTX` holds (see
+        // `swap_ctx`), so the `AtomicU64` is live.
+        unsafe { (*slot).store(clock, Ordering::Relaxed) };
+    }
+}
+
+/// Where [`publish`] currently stores (null when detached).
+#[cfg(test)]
+pub(crate) fn publish_slot() -> *const AtomicU64 {
+    PUBLISH_SLOT.with(|p| p.get())
 }
 
 /// The calling worker's machine cache model, if attached to a machine.
 pub(crate) fn machine_cache<T>(f: impl FnOnce(&CacheModel) -> T) -> Option<T> {
-    CTX.with(|c| c.borrow().as_ref().map(|(state, _)| f(&state.cache)))
+    CTX.with(|c| c.borrow().0.as_ref().map(|(state, _)| f(&state.cache)))
 }
 
 /// Mark the calling worker blocked (excluded from gate minima) while `f`
 /// performs a real blocking wait.
 pub(crate) fn while_blocked<T>(f: impl FnOnce() -> T) -> T {
-    let ctx = CTX.with(|c| c.borrow().clone());
+    let ctx = CTX.with(|c| c.borrow().0.clone());
     if let Some((state, idx)) = ctx {
         state.states[idx].store(STATE_BLOCKED, Ordering::Relaxed);
         let out = f();
@@ -143,14 +178,17 @@ pub(crate) fn while_blocked<T>(f: impl FnOnce() -> T) -> T {
 }
 
 /// Current lock-hold depth of this thread.
+#[inline]
 pub(crate) fn lock_depth() -> u32 {
     LOCK_DEPTH.with(|d| d.get())
 }
 
+#[inline]
 pub(crate) fn inc_lock_depth() {
     LOCK_DEPTH.with(|d| d.set(d.get() + 1));
 }
 
+#[inline]
 pub(crate) fn dec_lock_depth() {
     LOCK_DEPTH.with(|d| d.set(d.get() - 1));
 }
@@ -159,24 +197,29 @@ pub(crate) fn dec_lock_depth() {
 /// clock is within [`WINDOW`] of the slowest runnable peer. Called by
 /// [`crate::VLock::lock`] at lock depth 0.
 pub(crate) fn gate(my_clock: u64) {
-    let Some((state, idx)) = CTX.with(|c| c.borrow().clone()) else {
-        return;
-    };
-    state.clocks[idx].store(my_clock, Ordering::Relaxed);
-    let mut spins = 0u32;
-    loop {
-        match state.min_other_active(idx) {
-            Some(min) if my_clock > min + WINDOW => {
-                spins += 1;
-                if spins > YIELD_LIMIT {
-                    state.gate_timeouts.fetch_add(1, Ordering::Relaxed);
-                    return;
+    // Borrowed, not cloned: nothing below re-enters `CTX`, and an `Arc`
+    // clone would put two RMWs on a shared refcount into every lock.
+    CTX.with(|c| {
+        let ctx = c.borrow();
+        let Some((state, idx)) = ctx.0.as_ref() else {
+            return;
+        };
+        state.clocks[*idx].store(my_clock, Ordering::Relaxed);
+        let mut spins = 0u32;
+        loop {
+            match state.min_other_active(*idx) {
+                Some(min) if my_clock > min + WINDOW => {
+                    spins += 1;
+                    if spins > YIELD_LIMIT {
+                        state.gate_timeouts.fetch_add(1, Ordering::Relaxed);
+                        return;
+                    }
+                    std::thread::yield_now();
                 }
-                std::thread::yield_now();
+                _ => return,
             }
-            _ => return,
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -202,6 +245,33 @@ mod tests {
         assert_eq!(s.min_other_active(1), Some(10));
         s.states[0].store(STATE_DONE, Ordering::Relaxed);
         assert_eq!(s.min_other_active(1), None, "nobody else runnable");
+    }
+
+    #[test]
+    fn publish_slot_is_cleared_before_the_machine_state_can_drop() {
+        // What a `Machine::run` worker does, with the thread-local
+        // context holding the *last* `Arc`: detaching frees the state,
+        // and a later charge must not store through the old slot.
+        assert!(publish_slot().is_null());
+        let state = MachineState::new(2);
+        let weak = Arc::downgrade(&state);
+        attach(&state, 1);
+        drop(state);
+        let live = weak.upgrade().expect("the context keeps the machine alive");
+        assert_eq!(publish_slot(), &live.clocks[1] as *const AtomicU64);
+        crate::clock::charge(7);
+        assert_eq!(live.clocks[1].load(Ordering::Relaxed), crate::clock::now());
+        drop(live);
+        detach();
+        assert!(publish_slot().is_null());
+        assert!(weak.upgrade().is_none(), "detach released the last Arc");
+        let t = crate::clock::now();
+        crate::clock::charge(5);
+        assert_eq!(
+            crate::clock::now(),
+            t + 5,
+            "detached charge is a plain clock bump"
+        );
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub use cost::{Cost, CostModel};
 pub use machine::{sequential_scope, Machine};
 pub use report::RunReport;
 pub use vbarrier::VBarrier;
-pub use vlock::{VLock, VLockGuard};
+pub use vlock::{single_writer_add, single_writer_sub, VLock, VLockGuard};
 
 /// Advance the calling virtual processor's clock by `units` of local
 /// compute work.
@@ -74,11 +74,13 @@ pub use vlock::{VLock, VLockGuard};
 /// This is how workloads express "the application did some computation
 /// here" without actually burning host cycles; purely local work
 /// parallelizes perfectly across virtual processors.
+#[inline]
 pub fn work(units: u64) {
     clock::charge(units);
 }
 
 /// Charge a named cost from the globally installed [`CostModel`].
+#[inline]
 pub fn charge_cost(cost: Cost) {
     clock::charge(cost::get(cost));
 }

@@ -107,7 +107,7 @@ pub fn sequential_scope<T>(processors: usize, f: impl FnOnce() -> T) -> T {
     }
     // Restore the caller's context even if `f` unwinds.
     struct Restore {
-        prev_ctx: Option<(std::sync::Arc<gate::MachineState>, usize)>,
+        prev_ctx: Option<gate::MachineCtx>,
         prev: (usize, u64),
     }
     impl Drop for Restore {
@@ -211,6 +211,39 @@ mod tests {
         assert_eq!(inside, 550);
         assert_eq!(crate::current_proc(), my_proc, "identity restored");
         assert_eq!(crate::now(), my_clock, "clock restored");
+    }
+
+    #[test]
+    fn publish_slot_follows_scopes_in_and_out() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let outside = gate::publish_slot();
+        sequential_scope(2, || {
+            let outer = gate::publish_slot();
+            assert!(!outer.is_null());
+            assert_ne!(outer, outside);
+            sequential_scope(2, || {
+                assert_ne!(
+                    gate::publish_slot(),
+                    outer,
+                    "the inner scope has its own slot"
+                );
+                work(5);
+            });
+            assert_eq!(
+                gate::publish_slot(),
+                outer,
+                "nested scope restores the outer slot"
+            );
+            work(7);
+            // SAFETY: the outer scope's machine state is alive until
+            // this closure returns.
+            assert_eq!(unsafe { (*outer).load(Relaxed) }, crate::now());
+        });
+        assert_eq!(gate::publish_slot(), outside);
+        // The scope's machine state is gone; this must not store into it.
+        let t = crate::now();
+        work(3);
+        assert_eq!(crate::now(), t + 3);
     }
 
     #[test]

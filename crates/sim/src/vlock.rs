@@ -29,12 +29,31 @@ pub struct VLock {
     /// Virtual instant of the most recent release. Written while holding
     /// the lock, read immediately after acquiring it.
     v_release: AtomicU64,
-    /// Total acquisitions (telemetry).
+    /// Total acquisitions (telemetry). Like `contended`, written only
+    /// by the current holder: [`single_writer_add`], no RMW.
     acquisitions: AtomicU64,
     /// Acquisitions that were *virtually* contended: the acquirer's clock
     /// was behind the previous release (it would have had to wait on a
     /// real multiprocessor).
     contended: AtomicU64,
+}
+
+/// `counter += n` as a relaxed load + store instead of an atomic
+/// read-modify-write, for a counter that has **one writer at a time**: a
+/// guard the caller holds (a [`VLock`], a claimed slot) excludes every
+/// other writer, and the guard's Release/Acquire handoff orders
+/// successive ones, so nothing is lost. Readers may be concurrent —
+/// hence still an atomic cell — and see some value the counter held.
+/// Without the guard, concurrent updates are silently dropped.
+#[inline]
+pub fn single_writer_add(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+}
+
+/// `counter -= n`; as for [`single_writer_add`].
+#[inline]
+pub fn single_writer_sub(counter: &AtomicU64, n: u64) {
+    counter.store(counter.load(Ordering::Relaxed) - n, Ordering::Relaxed);
 }
 
 impl VLock {
@@ -50,6 +69,7 @@ impl VLock {
 
     /// Acquire the lock, spinning (with `yield_now` back-off) until it is
     /// available, and advance the caller's virtual clock per the model.
+    #[inline]
     pub fn lock(&self) -> VLockGuard<'_> {
         // Conservative ordering: workers far ahead in virtual time yield
         // until laggards catch up, so real acquisition order approximates
@@ -72,8 +92,27 @@ impl VLock {
             }
         }
 
-        // --- virtual accounting (we now hold the real lock) ---
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.account_acquired()
+    }
+
+    /// Try to acquire without spinning. On failure the caller's clock is
+    /// untouched (a real `trylock` returns immediately).
+    #[inline]
+    pub fn try_lock(&self) -> Option<VLockGuard<'_>> {
+        if self.locked.swap(true, Ordering::Acquire) {
+            return None;
+        }
+        Some(self.account_acquired())
+    }
+
+    /// Virtual accounting of an acquisition; the caller has just won the
+    /// real lock.
+    #[inline]
+    fn account_acquired(&self) -> VLockGuard<'_> {
+        // Guard: this lock — only the holder (this thread, from the
+        // `swap` above until `unlock`) writes the two telemetry counters.
+        self.debug_assert_held("lock telemetry bumped");
+        single_writer_add(&self.acquisitions, 1);
         let mut t = clock::now() + cost::get(Cost::LockAcquire);
         let rel = self.v_release.load(Ordering::Relaxed);
         let mut waited = 0;
@@ -85,32 +124,22 @@ impl VLock {
             let target = rel + cost::get(Cost::LockHandoff);
             waited = target - t;
             t = target;
-            self.contended.fetch_add(1, Ordering::Relaxed);
+            single_writer_add(&self.contended, 1);
         }
         clock::set_clock(t);
         crate::gate::inc_lock_depth();
         VLockGuard { lock: self, waited }
     }
 
-    /// Try to acquire without spinning. On failure the caller's clock is
-    /// untouched (a real `trylock` returns immediately).
-    pub fn try_lock(&self) -> Option<VLockGuard<'_>> {
-        if self.locked.swap(true, Ordering::Acquire) {
-            return None;
-        }
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let mut t = clock::now() + cost::get(Cost::LockAcquire);
-        let rel = self.v_release.load(Ordering::Relaxed);
-        let mut waited = 0;
-        if rel > t {
-            let target = rel + cost::get(Cost::LockHandoff);
-            waited = target - t;
-            t = target;
-            self.contended.fetch_add(1, Ordering::Relaxed);
-        }
-        clock::set_clock(t);
-        crate::gate::inc_lock_depth();
-        Some(VLockGuard { lock: self, waited })
+    /// Debug builds: panic with `what` unless *some* thread holds the
+    /// lock (it cannot tell who). Release builds: nothing. For state the
+    /// lock guards and its holder updates with [`single_writer_add`].
+    #[inline]
+    pub fn debug_assert_held(&self, what: &str) {
+        debug_assert!(
+            self.locked.load(Ordering::Relaxed),
+            "{what} without the lock held"
+        );
     }
 
     /// Total acquisitions so far.
@@ -130,6 +159,7 @@ impl VLock {
         self.v_release.store(0, Ordering::Relaxed);
     }
 
+    #[inline]
     fn unlock(&self) {
         let t = clock::now() + cost::get(Cost::LockRelease);
         clock::set_clock(t);
@@ -169,6 +199,7 @@ impl VLockGuard<'_> {
 }
 
 impl Drop for VLockGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         self.lock.unlock();
         crate::gate::dec_lock_depth();
@@ -233,6 +264,18 @@ mod tests {
         assert!(l.try_lock().is_none());
         drop(g);
         assert!(l.try_lock().is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    fn held_probe_fires_only_when_nobody_holds_the_lock() {
+        let l = VLock::new();
+        {
+            let _g = l.lock();
+            l.debug_assert_held("guarded write");
+        }
+        let unheld = std::panic::catch_unwind(|| l.debug_assert_held("guarded write"));
+        assert!(unheld.is_err(), "probe passed on an unlocked lock");
     }
 
     #[test]

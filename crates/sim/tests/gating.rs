@@ -3,7 +3,7 @@
 //! with nested locks, and the blocked-state bookkeeping of barriers and
 //! channels.
 
-use hoard_sim::{vchannel, work, Machine, VBarrier, VLock};
+use hoard_sim::{now, sequential_scope, vchannel, work, Machine, VBarrier, VLock};
 use std::sync::Arc;
 
 #[test]
@@ -155,4 +155,35 @@ fn makespan_reflects_critical_path_with_channels() {
         report.makespan() < producer_total + consumer_total + 100 * 300,
         "pipeline did not overlap at all"
     );
+}
+
+#[test]
+fn charging_stays_sound_after_every_context_exit() {
+    // `charge` publishes through a cached pointer into the attached
+    // machine's clock array. Every way out of a context — a worker
+    // finishing, a scope returning, a scope unwinding, a nested scope
+    // handing back to its parent — must leave that pointer either null
+    // or aimed at a live machine, or these charges write freed memory.
+    let report = Machine::new(2).run(|_| || work(10));
+    assert_eq!(report.makespan(), 10);
+    let t = now();
+    work(1);
+    assert_eq!(now(), t + 1, "the calling thread was never attached");
+
+    let inner_then_outer = sequential_scope(2, || {
+        let inner = sequential_scope(3, || {
+            work(40);
+            now()
+        });
+        work(2); // back on the outer scope's slot
+        (inner, now())
+    });
+    assert_eq!(inner_then_outer, (40, 2));
+    work(1);
+    assert_eq!(now(), t + 2, "scope exit restored the caller's clock");
+
+    let unwound = std::panic::catch_unwind(|| sequential_scope(2, || panic!("unwind the scope")));
+    assert!(unwound.is_err());
+    work(1);
+    assert_eq!(now(), t + 3);
 }
