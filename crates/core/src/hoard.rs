@@ -584,6 +584,15 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         self.config.magazine_capacity != 0
     }
 
+    /// Whether a free of `class` can end up on a superblock's deferred
+    /// stack instead of its free list. The locked back-end defers only
+    /// through the front-end, which serves classes below `MAG_CLASSES`;
+    /// the lock-free back-end also defers frees of bigger classes whose
+    /// superblock sits in a CAS-guarded domain (`free_dispatch`).
+    fn defers_frees(&self, class: usize) -> bool {
+        self.lockfree() || (self.magazines_on() && class < MAG_CLASSES)
+    }
+
     /// The *effective* configuration for emptiness-invariant decisions:
     /// the static config with the feedback controller's tuned `K`/`f`
     /// substituted. Returns `config` verbatim when tuning is off, so
@@ -1097,6 +1106,25 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             trigger |= self.drain_group_remotes(heap, class, group);
         }
         trigger
+    }
+
+    /// Steps 1b and 1c of `alloc_small_attempt`, out of line so the
+    /// common path stays small: drain `class`'s full superblocks and
+    /// retry; failing that, walk the remaining groups once — pricier,
+    /// but it beats transferring or mapping fresh memory. Superblocks
+    /// drained to empty are left for step 2. Returns a superblock with a
+    /// free block, or null.
+    #[cold]
+    unsafe fn recover_deferred_frees(&self, heap: &Heap, class: usize) -> *mut Superblock {
+        self.drain_full_group_remotes(heap, class);
+        let sb = heap.find_with_free(class);
+        if !sb.is_null() {
+            return sb;
+        }
+        for group in 0..Superblock::full_group() {
+            self.drain_group_remotes(heap, class, group);
+        }
+        heap.find_with_free(class)
     }
 
     unsafe fn drain_group_remotes(&self, heap: &Heap, class: usize, group: usize) -> bool {
@@ -1713,21 +1741,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         // 1. Fullest superblock of this class with a free block.
         let mut sb = heap.find_with_free(class);
 
-        // 1b. (Front-end only) An exhausted class may just mean its
-        //     blocks sit parked on full superblocks' deferred stacks;
-        //     recover those before pulling fresh memory.
-        if sb.is_null() && self.magazines_on() {
-            self.drain_full_group_remotes(heap, class);
-            sb = heap.find_with_free(class);
-        }
-
-        // 1c. (Front-end only) Still nothing: cross-thread churn also
-        //     parks blocks on *partially-full* superblocks. A whole-class
-        //     drain is pricier but beats transferring or mapping fresh
-        //     memory; superblocks drained to empty fall through to 2.
-        if sb.is_null() && self.magazines_on() {
-            self.drain_class_remotes(heap, class);
-            sb = heap.find_with_free(class);
+        // 1b/1c. (Classes with deferred frees only) An exhausted class
+        //     may just mean its blocks sit parked on deferred stacks.
+        if sb.is_null() && self.defers_frees(class) {
+            sb = self.recover_deferred_frees(heap, class);
         }
 
         // 2. Recycle one of our own empty superblocks (any class).

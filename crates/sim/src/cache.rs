@@ -12,14 +12,25 @@
 //!
 //! The directory is a fixed-size, lock-free, *lossy* open hash of
 //! `AtomicU64` entries (line address tag ⊕ owner id). Collisions simply
-//! overwrite — acceptable for a cost model and essential for an
-//! allocation-free hot path.
+//! overwrite — acceptable for a cost model, and part of every published
+//! virtual time: slot hash, tag width and size must not change.
+//!
+//! Everything else the model knows about a line — its dense first-touch
+//! id and which processors have live blocks on it — lives in one
+//! [`LineTable`] keyed by 4 KiB page, behind one lock taken once per
+//! call. A call does one map lookup per page it crosses and plain array
+//! indexing per line.
 
 use crate::clock::{charge, current_proc};
 use crate::cost::{self, Cost};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+#[cfg(test)]
+mod reference;
 
 /// Cache line size of the modelled machine, in bytes.
 pub const LINE: usize = 64;
@@ -27,78 +38,184 @@ pub const LINE: usize = 64;
 const DIR_BITS: usize = 16;
 const DIR_SIZE: usize = 1 << DIR_BITS;
 
+/// Granule of the line table: one map entry covers this many bytes.
+const PAGE: usize = 4096;
+const LINES_PER_PAGE: usize = PAGE / LINE;
+
+/// "No dense id assigned" (ids count up from 0 and are never reused).
+const NO_ID: u64 = u64::MAX;
+
 /// The cache-line directory. One process-global instance is used by
 /// [`crate::touch`]; independent instances can be made for unit tests.
 pub struct CacheModel {
     /// Each slot packs `(line_tag << 16) | owner_proc`, 0 = empty.
     dir: Box<[AtomicU64]>,
-    /// Exact residency directory: line address → per-processor counts of
-    /// *live registered blocks* touching the line. A line with live
-    /// blocks of two or more processors is **shared**, and every write
-    /// to it pays the remote cost — this is how allocator-induced false
-    /// sharing becomes visible even on a single-core host, where real
-    /// thread interleaving is too coarse for the last-writer model
-    /// alone. Workloads register blocks on allocation (see
-    /// [`register_block`](Self::register_block)).
+    /// Per-line renaming and residency, see [`LineTable`].
     ///
     /// Locked with `unwrap_or_else(|e| e.into_inner())`: a panicking
-    /// workload thread must not poison the whole simulation — the map
-    /// is a monotonic residency record, valid even mid-update.
-    residency: Mutex<HashMap<usize, ProcCounts>>,
-    /// When present, real line addresses are renamed to dense ids in
+    /// workload thread must not poison the whole simulation — every
+    /// update leaves the table valid at every step.
+    lines: Mutex<LineTable>,
+    /// When set, real line addresses are renamed to dense ids in
     /// first-touch order before directory hashing. The lossy directory's
     /// collision pattern then depends only on the *order* lines are
     /// touched — not on where the OS happened to map the memory — which
     /// is what makes sequential replay byte-deterministic across
     /// processes and ASLR (see [`CacheModel::deterministic`]).
-    renaming: Option<Mutex<Renaming>>,
+    renaming: bool,
     remote_transfers: AtomicU64,
     local_hits: AtomicU64,
 }
 
-/// Address → dense-id renaming state for deterministic mode. Ids come
-/// from a monotonic counter (never `map.len()`): [`chunk_acquired`]
-/// removes entries when the OS recycles an address, and a reused id
-/// would let two live lines alias one directory tag.
-///
-/// [`chunk_acquired`]: CacheModel::chunk_acquired
-#[derive(Debug, Default)]
-struct Renaming {
-    map: HashMap<usize, u64>,
-    next: u64,
+/// What the model records per line, grouped by page: memory grows with
+/// the pages touched or registered since the last [`CacheModel::reset`]
+/// (about 1 KiB each) and nothing is dropped in between.
+#[derive(Default)]
+struct LineTable {
+    pages: HashMap<usize, Box<Page>, BuildHasherDefault<PageHasher>>,
+    /// Next dense id. A monotonic counter, never a count of live
+    /// entries: [`CacheModel::chunk_acquired`] forgets ids when the OS
+    /// recycles an address, and a reused id would let two live lines
+    /// alias one directory tag.
+    next_id: u64,
 }
 
-/// Per-line counts of live blocks per processor (small inline map).
-#[derive(Debug, Default, Clone)]
-struct ProcCounts {
-    entries: Vec<(usize, u32)>, // (proc, live blocks)
+/// The 64 lines of one 4 KiB page.
+struct Page {
+    /// Dense first-touch id per line ([`NO_ID`] until touched, and again
+    /// after `chunk_acquired`). Used in renaming mode only.
+    ids: [u64; LINES_PER_PAGE],
+    /// Exact residency: per line, one processor's count of *live
+    /// registered blocks* on it, held inline. A line with live blocks of
+    /// two or more processors is **shared**, and every write to it pays
+    /// the remote cost — this is how allocator-induced false sharing
+    /// becomes visible even on a single-core host, where real thread
+    /// interleaving is too coarse for the last-writer model alone.
+    /// Workloads register blocks on allocation (see
+    /// [`CacheModel::register_block`]).
+    first: [Resident; LINES_PER_PAGE],
+    /// `(line, resident)` for every further processor on a line whose
+    /// inline cell is taken: empty unless the page has shared lines.
+    more: Vec<(u8, Resident)>,
 }
 
-impl ProcCounts {
-    fn add(&mut self, proc_id: usize) {
-        for (p, n) in &mut self.entries {
-            if *p == proc_id {
-                *n += 1;
-                return;
-            }
+/// `blocks` live registered blocks of processor `proc` (free when 0).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Resident {
+    proc: u32,
+    blocks: u32,
+}
+
+impl Default for Page {
+    fn default() -> Self {
+        Page {
+            ids: [NO_ID; LINES_PER_PAGE],
+            first: [Resident::default(); LINES_PER_PAGE],
+            more: Vec::new(),
         }
-        self.entries.push((proc_id, 1));
+    }
+}
+
+impl Page {
+    /// The line's dense id, assigned from `next_id` on first touch.
+    fn dense_id(&mut self, line: usize, next_id: &mut u64) -> u64 {
+        let id = &mut self.ids[line];
+        if *id == NO_ID {
+            *id = *next_id;
+            *next_id += 1;
+        }
+        *id
     }
 
-    /// Returns true when the line became completely unoccupied.
-    fn remove(&mut self, proc_id: usize) -> bool {
-        if let Some(i) = self.entries.iter().position(|(p, _)| *p == proc_id) {
-            self.entries[i].1 -= 1;
-            if self.entries[i].1 == 0 {
-                self.entries.swap_remove(i);
-            }
-        }
-        self.entries.is_empty()
+    /// Index in `more` of `proc`'s entry for the line.
+    fn spilled(&self, line: usize, proc: u32) -> Option<usize> {
+        self.more
+            .iter()
+            .position(|&(l, r)| l as usize == line && r.proc == proc)
     }
 
-    fn shared_beyond(&self, proc_id: usize) -> bool {
-        self.entries.iter().any(|(p, n)| *p != proc_id && *n > 0)
+    /// Count one more live block of `proc` on the line.
+    fn add(&mut self, line: usize, proc: u32) {
+        let first = self.first[line];
+        if first.blocks > 0 && first.proc == proc {
+            self.first[line].blocks += 1;
+        } else if let Some(i) = self.spilled(line, proc) {
+            self.more[i].1.blocks += 1;
+        } else if first.blocks == 0 {
+            self.first[line] = Resident { proc, blocks: 1 };
+        } else {
+            self.more.push((line as u8, Resident { proc, blocks: 1 }));
+        }
     }
+
+    /// Drop one block of `proc` from the line; a processor with none
+    /// there is ignored.
+    fn remove(&mut self, line: usize, proc: u32) {
+        let first = self.first[line];
+        if first.blocks > 0 && first.proc == proc {
+            self.first[line].blocks -= 1;
+        } else if let Some(i) = self.spilled(line, proc) {
+            self.more[i].1.blocks -= 1;
+            if self.more[i].1.blocks == 0 {
+                self.more.swap_remove(i);
+            }
+        }
+    }
+
+    /// Whether a processor other than `proc` has a live block on the line.
+    fn shared_beyond(&self, line: usize, proc: u32) -> bool {
+        let first = self.first[line];
+        (first.blocks > 0 && first.proc != proc)
+            || self
+                .more
+                .iter()
+                .any(|&(l, r)| l as usize == line && r.proc != proc)
+    }
+}
+
+/// Page numbers come from the allocator under test, never from outside
+/// the program, and are near-sequential: one multiply spreads them, and
+/// folding the high half down feeds the map's low-bit bucket index.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_usize(b as usize);
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        let h = (self.0 ^ n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// Split the lines overlapping `ptr..ptr + len` into per-page runs:
+/// `(page number, line indices within the page)`.
+fn pages_of(ptr: *mut u8, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let mut line = ptr as usize / LINE;
+    // An empty range covers no line, even one that starts mid-line.
+    let end = if len == 0 {
+        line
+    } else {
+        (ptr as usize + len).div_ceil(LINE)
+    };
+    std::iter::from_fn(move || {
+        if line >= end {
+            return None;
+        }
+        let page = line / LINES_PER_PAGE;
+        let stop = end.min((page + 1) * LINES_PER_PAGE);
+        let run = line % LINES_PER_PAGE..stop - page * LINES_PER_PAGE;
+        line = stop;
+        Some((page, run))
+    })
 }
 
 impl std::fmt::Debug for CacheModel {
@@ -117,8 +234,8 @@ impl CacheModel {
         let dir: Vec<AtomicU64> = (0..DIR_SIZE).map(|_| AtomicU64::new(0)).collect();
         CacheModel {
             dir: dir.into_boxed_slice(),
-            residency: Mutex::new(HashMap::new()),
-            renaming: None,
+            lines: Mutex::new(LineTable::default()),
+            renaming: false,
             remote_transfers: AtomicU64::new(0),
             local_hits: AtomicU64::new(0),
         }
@@ -132,27 +249,13 @@ impl CacheModel {
     /// pure function of the workload — ASLR cannot perturb it.
     pub fn deterministic() -> Self {
         CacheModel {
-            renaming: Some(Mutex::new(Renaming::default())),
+            renaming: true,
             ..Self::new()
         }
     }
 
-    /// The directory index key for `line_addr`: the dense first-touch
-    /// id in deterministic mode, the real line index otherwise.
-    fn line_key(&self, line_addr: usize) -> u64 {
-        match &self.renaming {
-            Some(renaming) => {
-                let mut r = renaming.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(&id) = r.map.get(&line_addr) {
-                    return id;
-                }
-                let id = r.next;
-                r.next += 1;
-                r.map.insert(line_addr, id);
-                id
-            }
-            None => (line_addr / LINE) as u64,
-        }
+    fn lines(&self) -> MutexGuard<'_, LineTable> {
+        self.lines.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Note that `ptr..ptr+len` was just handed out by the operating
@@ -161,38 +264,31 @@ impl CacheModel {
     /// lines, fresh ids). Without this, *whether* the host allocator
     /// reuses an address decides whether the chunk's lines inherit warm
     /// directory ownership — host-dependent state that breaks replay
-    /// determinism. No-op outside deterministic mode, where the
-    /// directory is keyed on real addresses and staleness is ordinary
-    /// lossy-collision noise.
+    /// determinism. Residency is left alone. No-op outside deterministic
+    /// mode, where the directory is keyed on real addresses and
+    /// staleness is ordinary lossy-collision noise.
     pub fn chunk_acquired(&self, ptr: *mut u8, len: usize) {
-        let Some(renaming) = &self.renaming else {
-            return;
-        };
-        if len == 0 {
+        if !self.renaming {
             return;
         }
-        let mut r = renaming.lock().unwrap_or_else(|e| e.into_inner());
-        let mut line = ptr as usize & !(LINE - 1);
-        let end = ptr as usize + len;
-        while line < end {
-            r.map.remove(&line);
-            line += LINE;
+        let mut table = self.lines();
+        for (page, run) in pages_of(ptr, len) {
+            if let Some(page) = table.pages.get_mut(&page) {
+                page.ids[run].fill(NO_ID);
+            }
         }
     }
 
     /// Record that the calling processor now owns a live block at
     /// `ptr..ptr+len`; its cache lines become (co-)resident.
     pub fn register_block(&self, ptr: *mut u8, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let me = current_proc();
-        let mut map = self.residency.lock().unwrap_or_else(|e| e.into_inner());
-        let mut line = ptr as usize & !(LINE - 1);
-        let end = ptr as usize + len;
-        while line < end {
-            map.entry(line).or_default().add(me);
-            line += LINE;
+        let me = current_proc() as u32;
+        let mut table = self.lines();
+        for (page, run) in pages_of(ptr, len) {
+            let page = table.pages.entry(page).or_default();
+            for line in run {
+                page.add(line, me);
+            }
         }
     }
 
@@ -201,25 +297,14 @@ impl CacheModel {
     /// may differ from the registering one; pass the registering
     /// processor's id as `owner_proc`.
     pub fn unregister_block(&self, ptr: *mut u8, len: usize, owner_proc: usize) {
-        if len == 0 {
-            return;
-        }
-        let mut map = self.residency.lock().unwrap_or_else(|e| e.into_inner());
-        let mut line = ptr as usize & !(LINE - 1);
-        let end = ptr as usize + len;
-        while line < end {
-            if let Some(counts) = map.get_mut(&line) {
-                if counts.remove(owner_proc) {
-                    map.remove(&line);
+        let mut table = self.lines();
+        for (page, run) in pages_of(ptr, len) {
+            if let Some(page) = table.pages.get_mut(&page) {
+                for line in run {
+                    page.remove(line, owner_proc as u32);
                 }
             }
-            line += LINE;
         }
-    }
-
-    fn line_is_shared(&self, line: usize, me: usize) -> bool {
-        let map = self.residency.lock().unwrap_or_else(|e| e.into_inner());
-        map.get(&line).is_some_and(|c| c.shared_beyond(me))
     }
 
     /// Touch `len` bytes at `ptr`, charging per-line costs to the calling
@@ -231,43 +316,57 @@ impl CacheModel {
         if len == 0 {
             return;
         }
-        let me = current_proc() as u64;
-        let start = ptr as usize & !(LINE - 1);
-        let end = ptr as usize + len;
-        let mut line = start;
-        let mut cost_units = 0u64;
+        let me = current_proc();
         let mut remote = 0u64;
         let mut local = 0u64;
-        while line < end {
-            let key = self.line_key(line);
-            let slot = &self.dir[Self::slot(key)];
-            let tag = Self::tag(key);
-            let cur = slot.load(Ordering::Relaxed);
-            let owned_by_me = cur >> 16 == tag && (cur & 0xFFFF) == (me & 0xFFFF);
-            // A line co-resident with another processor's live block is
-            // in perpetual coherence conflict: writes always pay the
-            // remote cost (allocator-induced false sharing). Otherwise
-            // fall back to the last-writer migration model.
-            let shared = write && self.line_is_shared(line, me as usize);
-            if owned_by_me && !shared {
-                cost_units += cost::get(Cost::CacheHit);
-                local += 1;
+        let mut table = self.lines();
+        let LineTable { pages, next_id } = &mut *table;
+        for (number, run) in pages_of(ptr, len) {
+            // Renaming gives every touched line an id, so the page must
+            // exist; address-keyed mode only consults residency.
+            let mut page = if self.renaming {
+                Some(pages.entry(number).or_default())
             } else {
-                cost_units += cost::get(Cost::CacheRemote);
-                remote += 1;
-            }
-            if write {
-                slot.store((tag << 16) | (me & 0xFFFF), Ordering::Relaxed);
-                // Real traffic: one volatile byte per line keeps the
-                // access pattern honest without dominating host runtime.
-                unsafe {
-                    let p = line.max(ptr as usize) as *mut u8;
-                    std::ptr::write_volatile(p, std::ptr::read_volatile(p).wrapping_add(1));
+                pages.get_mut(&number)
+            };
+            for i in run {
+                // The real line index; its address is `index * LINE`.
+                let index = number * LINES_PER_PAGE + i;
+                let key = match &mut page {
+                    Some(page) if self.renaming => page.dense_id(i, next_id),
+                    _ => index as u64,
+                };
+                let slot = &self.dir[Self::slot(key)];
+                let tag = Self::tag(key);
+                let cur = slot.load(Ordering::Relaxed);
+                let owned_by_me = cur >> 16 == tag && (cur & 0xFFFF) == (me as u64 & 0xFFFF);
+                // A line co-resident with another processor's live block
+                // is in perpetual coherence conflict: writes always pay
+                // the remote cost (allocator-induced false sharing).
+                // Otherwise fall back to the last-writer migration model.
+                let shared = write
+                    && page
+                        .as_ref()
+                        .is_some_and(|page| page.shared_beyond(i, me as u32));
+                if owned_by_me && !shared {
+                    local += 1;
+                } else {
+                    remote += 1;
+                }
+                if write {
+                    slot.store((tag << 16) | (me as u64 & 0xFFFF), Ordering::Relaxed);
+                    // Real traffic: one volatile byte per line keeps the
+                    // access pattern honest without dominating host
+                    // runtime.
+                    unsafe {
+                        let p = (index * LINE).max(ptr as usize) as *mut u8;
+                        std::ptr::write_volatile(p, std::ptr::read_volatile(p).wrapping_add(1));
+                    }
                 }
             }
-            line += LINE;
         }
-        charge(cost_units);
+        drop(table);
+        charge(local * cost::get(Cost::CacheHit) + remote * cost::get(Cost::CacheRemote));
         if remote > 0 {
             self.remote_transfers.fetch_add(remote, Ordering::Relaxed);
         }
@@ -286,17 +385,12 @@ impl CacheModel {
         self.local_hits.load(Ordering::Relaxed)
     }
 
-    /// Clear directory, residency and counters (between experiment runs).
+    /// Clear directory, line table and counters (between experiment runs).
     pub fn reset(&self) {
         for slot in self.dir.iter() {
             slot.store(0, Ordering::Relaxed);
         }
-        self.residency.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        if let Some(renaming) = &self.renaming {
-            let mut r = renaming.lock().unwrap_or_else(|e| e.into_inner());
-            r.map.clear();
-            r.next = 0;
-        }
+        *self.lines() = LineTable::default();
         self.remote_transfers.store(0, Ordering::Relaxed);
         self.local_hits.store(0, Ordering::Relaxed);
     }
@@ -487,5 +581,170 @@ mod tests {
         assert_eq!(m.local_hits(), 0);
         m.touch(b.as_mut_ptr(), 8, true);
         assert_eq!(m.remote_transfers(), 1, "directory forgot ownership");
+    }
+
+    #[test]
+    fn ranges_split_at_page_boundaries() {
+        let runs = |ptr: usize, len: usize| pages_of(ptr as *mut u8, len).collect::<Vec<_>>();
+        assert_eq!(runs(PAGE + 70, 0), vec![], "an empty range covers no line");
+        assert_eq!(runs(PAGE + 70, 1), vec![(1, 1..2)], "mid-line start");
+        assert_eq!(
+            runs(PAGE, LINE),
+            vec![(1, 0..1)],
+            "ends exactly on a line boundary"
+        );
+        assert_eq!(
+            runs(2 * PAGE - 1, PAGE + 2),
+            vec![(1, 63..64), (2, 0..64), (3, 0..1)],
+            "one byte either side of a whole page"
+        );
+    }
+
+    #[test]
+    fn other_processors_spill_and_return_the_inline_cell() {
+        let mut page = Page::default();
+        page.add(5, 1);
+        page.add(5, 1);
+        assert!(page.more.is_empty(), "a single owner never allocates");
+        page.add(5, 2);
+        page.add(5, 3);
+        assert_eq!(page.more.len(), 2);
+        assert!(page.shared_beyond(5, 1) && page.shared_beyond(5, 2));
+        // The inline owner leaves; a newcomer takes the cell over while
+        // the spilled processors stay where they are.
+        page.remove(5, 1);
+        page.remove(5, 1);
+        page.add(5, 4);
+        assert_eq!(page.first[5], Resident { proc: 4, blocks: 1 });
+        page.remove(5, 9); // never registered: ignored
+        assert!([2, 3, 4].iter().all(|&proc| page.shared_beyond(5, proc)));
+        for proc in [2, 3, 4] {
+            page.remove(5, proc);
+        }
+        assert!(page.more.is_empty() && !page.shared_beyond(5, 0));
+        assert!(!page.shared_beyond(6, 0), "neighbouring lines untouched");
+    }
+
+    /// SplitMix64: a seeded stream for the model check below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// One call into a cache model from virtual processor `proc`.
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Touch { write: bool },
+        Register,
+        Unregister { owner: usize },
+        ChunkAcquired,
+        Reset,
+    }
+
+    /// The surface the line table and the PR 12 two-map model share.
+    macro_rules! apply {
+        ($model:expr, $proc:expr, $call:expr, $ptr:expr, $len:expr) => {{
+            crate::switch_context($proc, 0);
+            match $call {
+                Call::Touch { write } => $model.touch($ptr, $len, write),
+                Call::Register => $model.register_block($ptr, $len),
+                Call::Unregister { owner } => $model.unregister_block($ptr, $len, owner),
+                Call::ChunkAcquired => $model.chunk_acquired($ptr, $len),
+                Call::Reset => $model.reset(),
+            }
+            (crate::now(), $model.remote_transfers(), $model.local_hits())
+        }};
+    }
+
+    /// Drive the line table and the reference with the same seeded
+    /// sequence of calls from several virtual processors and require the
+    /// same virtual time charged and the same counters after every call.
+    fn check_against_reference(model: CacheModel, old: reference::CacheModel, seed: u64) {
+        const PROCS: usize = 5;
+        const PAGES: usize = 6;
+        let _model = cost::TEST_MODEL_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let mut arena = vec![0u8; (PAGES + 1) * PAGE];
+        let base = arena.as_mut_ptr() as usize;
+        let base = base + (PAGE - base % PAGE) % PAGE;
+        let mut rng = Stream(seed);
+        // Live registrations: (offset, len, registering processor).
+        let mut blocks: Vec<(usize, usize, usize)> = Vec::new();
+
+        let mut seen = (false, false);
+        crate::sequential_scope(PROCS, || {
+            for step in 0..6_000 {
+                let proc = rng.below(PROCS);
+                // Mostly object-sized ranges at any byte offset (so they
+                // start mid-line), some spanning a page or more.
+                let mut len = match rng.below(8) {
+                    0 => 1 + rng.below(2 * PAGE),
+                    1 => 0,
+                    _ => 1 + rng.below(3 * LINE),
+                };
+                let mut off = rng.below(PAGES * PAGE - len);
+                let call = match rng.below(100) {
+                    roll @ 0..=44 => Call::Touch {
+                        write: roll % 3 != 0,
+                    },
+                    45..=64 => {
+                        blocks.push((off, len, proc));
+                        Call::Register
+                    }
+                    65..=84 if !blocks.is_empty() => {
+                        // Any processor frees; the owner is whoever
+                        // registered the block.
+                        let i = rng.below(blocks.len());
+                        let owner;
+                        (off, len, owner) = blocks.swap_remove(i);
+                        Call::Unregister { owner }
+                    }
+                    // An owner with no block on the range.
+                    65..=89 => Call::Unregister { owner: proc },
+                    90..=98 => {
+                        // Chunks are whole pages: the purge cuts through
+                        // ranges touched earlier and may cover a page
+                        // nothing ever touched.
+                        off = off / PAGE * PAGE;
+                        len = PAGE * (1 + rng.below(2)).min(PAGES - off / PAGE);
+                        Call::ChunkAcquired
+                    }
+                    _ => {
+                        blocks.clear();
+                        Call::Reset
+                    }
+                };
+                let ptr = (base + off) as *mut u8;
+                let got = apply!(model, proc, call, ptr, len);
+                let want = apply!(old, proc, call, ptr, len);
+                assert_eq!(
+                    got, want,
+                    "seed {seed} step {step}: {call:?} of {len} bytes at +{off} by {proc} \
+                     (virtual time charged, remote transfers, local hits)"
+                );
+                seen = (seen.0 || got.1 > 0, seen.1 || got.2 > 0);
+            }
+        });
+        assert_eq!(seen, (true, true), "both outcomes were exercised");
+    }
+
+    #[test]
+    fn line_table_matches_reference_model() {
+        for seed in [1, 2, 0xC0FFEE] {
+            check_against_reference(
+                CacheModel::deterministic(),
+                reference::CacheModel::deterministic(),
+                seed,
+            );
+            check_against_reference(CacheModel::new(), reference::CacheModel::new(), seed);
+        }
     }
 }

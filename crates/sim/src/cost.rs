@@ -379,6 +379,11 @@ pub(crate) fn get(cost: Cost) -> u64 {
     GLOBAL[index(cost)].load(Ordering::Relaxed)
 }
 
+/// Held by unit tests that install a non-default model, and by those
+/// that compare virtual times across calls, so the two cannot overlap.
+#[cfg(test)]
+pub(crate) static TEST_MODEL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +397,7 @@ mod tests {
 
     #[test]
     fn install_changes_lookup() {
+        let _model = TEST_MODEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let model = CostModel {
             cache_remote: 1234,
             ..Default::default()
@@ -423,6 +429,7 @@ mod tests {
         assert_eq!(flat.malloc_fast, 7);
         assert_eq!(flat.cache_remote, 7);
         // Install/restore round-trip.
+        let _model = TEST_MODEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         e5000.install();
         assert_eq!(CostModel::current(), e5000);
         CostModel::default().install();

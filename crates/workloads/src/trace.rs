@@ -23,6 +23,7 @@ use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
 use hoard_sim::{vchannel, work, Machine, VReceiver, VSender};
 use hoard_trace::{TrcOp, TrcRecord, TrcTrace};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -510,27 +511,26 @@ pub fn replay(alloc: &dyn MtAllocator, trace: &Trace) -> WorkloadResult {
     let threads = trace.threads().max(1);
     let meter = LiveMeter::new();
     let transfer_cost = hoard_sim::CostModel::current().channel_transfer;
+    let (streams, objects) = dense_streams(trace);
 
     let clocks = hoard_sim::sequential_scope(threads, || {
         let mut clocks: Vec<u64> = vec![0; threads];
         let mut pcs: Vec<usize> = vec![0; threads];
-        // Objects each processor holds, and objects sent to it but not
-        // yet picked up: (id, object, virtual arrival time).
-        let mut objects: Vec<HashMap<u32, Obj>> = (0..threads).map(|_| HashMap::new()).collect();
-        let mut inbox: Vec<Vec<(u32, Obj, u64)>> = (0..threads).map(|_| Vec::new()).collect();
+        // Every live object, by id: who holds it and, for one that was
+        // sent and not yet picked up, when it arrives.
+        let mut table: Vec<Option<Held>> = vec![None; objects];
 
         loop {
             // Pick the runnable stream with the smallest (clock, proc).
             let mut next: Option<usize> = None;
             let mut live_streams = false;
             for p in 0..threads {
-                let Some(op) = trace.streams.get(p).and_then(|s| s.get(pcs[p])) else {
+                let Some(op) = streams.get(p).and_then(|s| s.get(pcs[p])) else {
                     continue;
                 };
                 live_streams = true;
                 if let TraceOp::Free { id } = *op {
-                    let held =
-                        objects[p].contains_key(&id) || inbox[p].iter().any(|(i, ..)| *i == id);
+                    let held = matches!(table.get(id as usize), Some(Some(h)) if h.by == p);
                     if !held {
                         continue; // still in flight: blocked
                     }
@@ -548,33 +548,37 @@ pub fn replay(alloc: &dyn MtAllocator, trace: &Trace) -> WorkloadResult {
             };
 
             hoard_sim::switch_context(p, clocks[p]);
-            match trace.streams[p][pcs[p]] {
+            match streams[p][pcs[p]] {
                 TraceOp::Alloc { id, size, site } => {
                     let obj = Obj::alloc_site(alloc, &meter, size as usize, site);
                     obj.write();
-                    objects[p].insert(id, obj);
+                    table[id as usize] = Some(Held {
+                        obj,
+                        by: p,
+                        arrives: None,
+                    });
                 }
                 TraceOp::Free { id } => {
-                    let obj = match objects[p].remove(&id) {
-                        Some(obj) => obj,
-                        None => {
-                            // Pick up from the inbox: the free happens
-                            // no earlier than the message's arrival.
-                            let i = inbox[p]
-                                .iter()
-                                .position(|(got, ..)| *got == id)
-                                .expect("runnable free holds its object");
-                            let (_, obj, arrives) = inbox[p].swap_remove(i);
-                            hoard_sim::set_clock(arrives);
-                            obj
-                        }
-                    };
-                    obj.free(alloc, &meter);
+                    let held = table[id as usize]
+                        .take()
+                        .expect("runnable free holds its object");
+                    if let Some(arrives) = held.arrives {
+                        // Picked up from the inbox: the free happens no
+                        // earlier than the message's arrival.
+                        hoard_sim::set_clock(arrives);
+                    }
+                    held.obj.free(alloc, &meter);
                 }
                 TraceOp::Send { id, to } => {
-                    let obj = objects[p].remove(&id).expect("send of object not held");
-                    let arrives = hoard_sim::now() + transfer_cost;
-                    inbox[to as usize].push((id, obj, arrives));
+                    assert!((to as usize) < threads, "send to nonexistent thread {to}");
+                    // An object still in the inbox is not held yet.
+                    let held = table
+                        .get_mut(id as usize)
+                        .and_then(Option::as_mut)
+                        .filter(|h| h.by == p && h.arrives.is_none())
+                        .expect("send of object not held");
+                    held.by = to as usize;
+                    held.arrives = Some(hoard_sim::now() + transfer_cost);
                 }
                 TraceOp::Work { units } => work(units as u64),
             }
@@ -584,18 +588,18 @@ pub fn replay(alloc: &dyn MtAllocator, trace: &Trace) -> WorkloadResult {
 
         // Anything still held (sent but never freed by the trace) is
         // freed at exit by its holder, in deterministic (proc, id)
-        // order, to keep accounting clean.
-        for p in 0..threads {
-            for (id, obj, arrives) in std::mem::take(&mut inbox[p]) {
-                clocks[p] = clocks[p].max(arrives);
-                objects[p].insert(id, obj);
-            }
-            let mut ids: Vec<u32> = objects[p].keys().copied().collect();
-            ids.sort_unstable();
+        // order, to keep accounting clean. Dense ids keep the order of
+        // the trace's own ids, so one pass over the table sorts them.
+        let mut leftovers: Vec<Vec<Held>> = vec![Vec::new(); threads];
+        for held in table.into_iter().flatten() {
+            leftovers[held.by].push(held);
+        }
+        for (p, held) in leftovers.into_iter().enumerate() {
+            let arrived = held.iter().filter_map(|h| h.arrives).max();
+            clocks[p] = clocks[p].max(arrived.unwrap_or(0));
             hoard_sim::switch_context(p, clocks[p]);
-            for id in ids {
-                let obj = objects[p].remove(&id).expect("listed above");
-                obj.free(alloc, &meter);
+            for h in held {
+                h.obj.free(alloc, &meter);
             }
             clocks[p] = hoard_sim::now();
         }
@@ -609,6 +613,65 @@ pub fn replay(alloc: &dyn MtAllocator, trace: &Trace) -> WorkloadResult {
         snapshot: alloc.stats(),
         report: hoard_sim::RunReport::from_per_processor(clocks),
     }
+}
+
+/// A live object in [`replay`]'s table.
+#[derive(Clone, Copy)]
+struct Held {
+    obj: Obj,
+    /// The processor that holds it, or whose inbox it is in.
+    by: usize,
+    /// Virtual arrival time while it sits in `by`'s inbox.
+    arrives: Option<u64>,
+}
+
+/// The trace's streams with object ids that index a table no longer
+/// than the trace has allocations, and that table's length.
+///
+/// A trace may name its objects by any `u32` ([`Trace::from_text`]
+/// takes `t0 a 4000000000 8`), so the largest id alone must never size
+/// the table. Ids below the allocation count (every generator's) are
+/// used as they are; otherwise ids are renumbered by rank among the
+/// allocated ids, which keeps their order. An id that is never allocated
+/// maps past the table, where nothing is ever held.
+fn dense_streams(trace: &Trace) -> (Cow<'_, [Vec<TraceOp>]>, usize) {
+    let allocated = || {
+        trace.streams.iter().flatten().filter_map(|op| match *op {
+            TraceOp::Alloc { id, .. } => Some(id),
+            _ => None,
+        })
+    };
+    // `span`: one past the largest allocated id.
+    let (span, allocs) = allocated().fold((0, 0), |(span, allocs), id| {
+        (span.max(id as usize + 1), allocs + 1)
+    });
+    if span <= allocs {
+        return (Cow::Borrowed(&trace.streams), span);
+    }
+    let mut ids: Vec<u32> = allocated().collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let rank = |id: u32| ids.binary_search(&id).map_or(u32::MAX, |i| i as u32);
+    let streams = trace
+        .streams
+        .iter()
+        .map(|stream| {
+            stream
+                .iter()
+                .map(|op| match *op {
+                    TraceOp::Alloc { id, size, site } => TraceOp::Alloc {
+                        id: rank(id),
+                        size,
+                        site,
+                    },
+                    TraceOp::Free { id } => TraceOp::Free { id: rank(id) },
+                    TraceOp::Send { id, to } => TraceOp::Send { id: rank(id), to },
+                    work @ TraceOp::Work { .. } => work,
+                })
+                .collect()
+        })
+        .collect();
+    (Cow::Owned(streams), ids.len())
 }
 
 /// Replay a trace against `alloc` on the simulated machine with **real
@@ -813,6 +876,46 @@ mod tests {
         assert_eq!(seq.snapshot.frees, conc.snapshot.frees);
         assert_eq!(seq.snapshot.live_current, 0);
         assert_eq!(conc.snapshot.live_current, 0);
+    }
+
+    #[test]
+    fn replay_table_is_sized_by_the_trace_not_by_its_largest_id() {
+        // `from_text` takes any u32 as an id and `replay` does not
+        // validate: a table of `max id + 1` entries would be ~100 GB.
+        let sparse = Trace::from_text(&format!(
+            "t0 a {big} 64\nt0 a 7 128\nt0 w 10\nt0 s {big} 1\nt0 f 7\nt1 f {big}\n",
+            big = u32::MAX - 1
+        ))
+        .expect("parses");
+        let (streams, objects) = dense_streams(&sparse);
+        assert_eq!(objects, 2);
+        assert_eq!(streams[1], [TraceOp::Free { id: 1 }], "rank keeps id order");
+
+        // Same trace with the ids a generator would have given.
+        let dense = Trace::from_text("t0 a 1 64\nt0 a 0 128\nt0 w 10\nt0 s 1 1\nt0 f 0\nt1 f 1\n")
+            .expect("parses");
+        assert!(matches!(dense_streams(&dense), (Cow::Borrowed(_), 2)));
+        let a = replay(&HoardAllocator::new_default(), &sparse);
+        let b = replay(&HoardAllocator::new_default(), &dense);
+        assert_eq!(a.snapshot.live_current, 0);
+        assert_eq!((a.snapshot.allocs, a.snapshot.frees), (2, 2));
+        assert_eq!(a.report.per_processor(), b.report.per_processor());
+    }
+
+    #[test]
+    #[should_panic(expected = "replay deadlocked")]
+    fn free_of_an_object_never_sent_deadlocks_loudly() {
+        // Object 0 stays with thread 0; object 9 is never allocated.
+        let t = Trace::from_text("t0 a 0 8\nt1 f 0\nt0 f 9\n").expect("parses");
+        replay(&HoardAllocator::new_default(), &t);
+    }
+
+    #[test]
+    #[should_panic(expected = "send of object not held")]
+    fn send_of_an_object_still_in_the_inbox_is_rejected() {
+        // Thread 1 forwards object 0 without ever picking it up.
+        let t = Trace::from_text("t0 a 0 8\nt0 s 0 1\nt1 w 5000\nt1 s 0 0\n").expect("parses");
+        replay(&HoardAllocator::new_default(), &t);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use hoard_core::{HeapProfiler, HoardAllocator, HoardConfig, TrcRecorder};
 use hoard_workloads::server_traffic::{self, Params};
 use hoard_workloads::threadtest;
-use hoard_workloads::trace::{replay, Trace};
+use hoard_workloads::trace::{replay, synthesize, SynthesisParams, Trace, TraceOp};
 use std::sync::Arc;
 
 fn small_traffic() -> (hoard_core::TrcTrace, server_traffic::GenSummary) {
@@ -162,4 +162,120 @@ fn profiled_replay_twice_is_deterministic() {
     // And the profiler saw exactly what the allocator did.
     assert_eq!(sa.total_allocs, ra.snapshot.allocs);
     assert_eq!(sa.total_frees, ra.snapshot.frees);
+}
+
+/// What a replay must reproduce exactly: makespan, per-processor
+/// clocks, peak requested bytes, and the snapshot's allocs / frees /
+/// remote frees.
+type Pinned = (u64, &'static [u64], u64, [u64; 3]);
+
+fn assert_pinned(what: &str, trace: &Trace, expected: [Pinned; 2]) {
+    let configs = [
+        ("hoard", HoardConfig::new()),
+        ("hoard-mag", HoardConfig::with_default_magazines()),
+    ];
+    for ((name, config), (makespan, clocks, peak, counts)) in configs.into_iter().zip(expected) {
+        let h = HoardAllocator::with_config(config).unwrap();
+        let r = replay(&h, trace);
+        let got = (
+            r.makespan,
+            r.report.per_processor(),
+            r.max_live_requested,
+            [r.snapshot.allocs, r.snapshot.frees, r.snapshot.remote_frees],
+        );
+        assert_eq!(
+            got,
+            (makespan, clocks, peak, counts),
+            "{what}, {name}: replay drifted from the values recorded at PR 12"
+        );
+    }
+}
+
+/// The engine's scheduling order, in-flight-send blocking, inbox pickup
+/// and end-of-trace cleanup order are part of every published virtual
+/// time. These values were recorded with the `HashMap`-based engine and
+/// cache model of PR 12; a rewrite of either must reproduce them.
+#[test]
+fn replay_matches_values_pinned_at_pr12() {
+    // Frees that block on in-flight sends.
+    let blocking = synthesize(&SynthesisParams {
+        threads: 4,
+        allocs_per_thread: 600,
+        remote_free_permille: 250,
+        ..SynthesisParams::default()
+    });
+    assert_pinned(
+        "P=4, 25% remote frees",
+        &blocking,
+        [
+            (
+                1_038_764,
+                &[1_030_999, 1_028_576, 1_027_487, 1_038_764],
+                19_672,
+                [2400, 2400, 675],
+            ),
+            (
+                1_109_268,
+                &[1_107_276, 1_106_510, 1_106_152, 1_109_268],
+                19_672,
+                [2400, 2400, 601],
+            ),
+        ],
+    );
+
+    // Sent objects the trace never frees: the receiver's cleanup frees
+    // them in (proc, id) order after the streams end.
+    let mut orphaned = synthesize(&SynthesisParams {
+        threads: 3,
+        allocs_per_thread: 400,
+        remote_free_permille: 300,
+        seed: 0x0BAD_5EED,
+        ..SynthesisParams::default()
+    });
+    let sent: std::collections::HashSet<u32> = orphaned
+        .streams
+        .iter()
+        .flatten()
+        .filter_map(|op| match *op {
+            TraceOp::Send { id, .. } => Some(id),
+            _ => None,
+        })
+        .collect();
+    for stream in &mut orphaned.streams {
+        stream.retain(|op| !matches!(op, TraceOp::Free { id } if sent.contains(id)));
+    }
+    assert!(sent.len() > 50);
+    assert_pinned(
+        "sent objects never freed",
+        &orphaned,
+        [
+            (
+                336_766,
+                &[312_871, 323_136, 336_766],
+                118_980,
+                [1200, 1200, 353],
+            ),
+            (
+                317_062,
+                &[305_762, 306_547, 317_062],
+                121_333,
+                [1200, 1200, 327],
+            ),
+        ],
+    );
+
+    let single = synthesize(&SynthesisParams {
+        threads: 1,
+        allocs_per_thread: 1_500,
+        max_size: 3_000,
+        ..SynthesisParams::default()
+    });
+    assert_pinned(
+        "P=1",
+        &single,
+        [
+            (914_864, &[914_864], 118_952, [1500, 1500, 71]),
+            (975_218, &[975_218], 118_952, [1500, 1500, 15]),
+        ],
+    );
 }
