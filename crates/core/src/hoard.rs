@@ -468,8 +468,20 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     fn profile_tick(&self, prof: &HeapProfiler) {
         if prof.maybe_tick(now()) {
             charge_cost(Cost::ProfileSample);
-            prof.record_sample(now(), self.source.stats().held_current, self.stats.live_now());
+            let live = self.app_live(self.stats.live_now());
+            prof.record_sample(now(), self.source.stats().held_current, live);
         }
+    }
+
+    /// The application's share of `out_of_heaps` (a reading of the
+    /// `live` cell, which also counts what the magazines hold): less
+    /// every slot's `cached_bytes`, read without claiming the slot.
+    /// Exact at quiescence; saturating, because under traffic the gauges
+    /// are read later than the cell and may have grown past it.
+    fn app_live(&self, out_of_heaps: u64) -> u64 {
+        self.frontend.iter().fold(out_of_heaps, |live, slot| {
+            live.saturating_sub(slot.cached_bytes())
+        })
     }
 
     /// A structural photograph of every heap: per-class superblock
@@ -733,11 +745,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         let slot = &self.frontend[current_proc() % MAG_SLOTS];
         let claim = slot.try_claim()?;
         let mag = claim.magazine(class);
+        let block_size = self.classes.class(class).block_size;
         let (p, hit) = match mag.pop() {
             Some(p) => {
                 charge_cost(Cost::MagazineOp);
-                // Guard: `claim` (this slot's shard).
-                claim.stats().on_magazine_alloc_hit();
                 (p, true)
             }
             None => {
@@ -750,7 +761,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 if got == 0 {
                     return None;
                 }
-                self.stats.on_magazine_refill();
+                // Guard: `claim`. The whole batch leaves the heaps here,
+                // in the one RMW this path makes on the `live` cell.
+                self.stats
+                    .on_magazine_refill_in(claim.stats(), got as u64 * block_size as u64);
                 self.emit(EventKind::MagazineRefill, class as u32, got as u64);
                 if let Some(m) = self.metrics_ref() {
                     m.on_magazine_refill(self.heap_index_for_current_thread(), class);
@@ -758,14 +772,14 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 (mag.pop()?, false)
             }
         };
-        let block_size = self.classes.class(class).block_size;
         self.prepare_block_for_handout(p, block_size);
         // Guard: `claim`, still held (refill or not, it never dropped).
-        self.stats.on_alloc_in(claim.stats(), block_size as u64);
+        // The block was already out of the heaps: no shared cell moves.
+        claim.stats().on_magazine_alloc(block_size as u64, hit);
         self.emit(EventKind::AllocMagazine, class as u32, block_size as u64);
         if let Some(m) = self.metrics_ref() {
             // A refill-then-pop took the heap lock, so only a pop hit
-            // counts as a lock bypass (mirrors on_magazine_alloc_hit).
+            // counts as a lock bypass (as in the shard).
             m.on_alloc(self.heap_index_for_current_thread(), class, hit);
         }
         Some(NonNull::new_unchecked(p))
@@ -917,8 +931,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             let class = (*sb).class as usize;
             let mag = claim.magazine(class);
             if mag.len() >= self.tuning.capacity(class) {
-                self.flush_magazine(class, mag);
-                self.stats.on_magazine_flush();
+                let n = self.flush_magazine(class, mag);
+                // Guard: `claim`; the batch's bytes in one RMW.
+                self.stats
+                    .on_magazine_flush_in(claim.stats(), n as u64 * block_size as u64);
                 if let Some(m) = self.metrics_ref() {
                     m.on_magazine_flush(owner, class);
                 }
@@ -928,10 +944,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             mag.push(payload);
             charge_cost(Cost::MagazineOp);
-            // Guard: `claim` (this slot's shard).
-            claim.stats().on_magazine_free_hit();
-            self.stats
-                .on_free_in(claim.stats(), block_size as u64, false);
+            // Guard: `claim`. The block stays out of the heaps: no
+            // shared cell moves.
+            claim.stats().on_magazine_free(block_size as u64);
             self.emit(EventKind::FreeMagazine, class as u32, 0);
             if let Some(m) = self.metrics_ref() {
                 m.on_free(owner, class, true);
@@ -950,9 +965,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             let _ = Superblock::push_remote(sb, payload);
             charge_cost(Cost::RemoteFreePush);
             // No guard: neither a claim nor the owner's lock is held
-            // on a deferred push, so these stay RMWs on the shared cell.
-            self.stats.on_remote_push();
-            self.stats.on_free(block_size as u64, true);
+            // on a deferred push, so this stays on the shared cell.
+            self.stats.on_deferred_free(block_size as u64);
             self.emit(EventKind::RemoteFreePush, (*sb).class, owner as u64);
             if let Some(m) = self.metrics_ref() {
                 m.on_remote_free(owner, (*sb).class as usize);
@@ -994,8 +1008,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// acquisition of the caller's own heap lock; blocks whose
     /// superblock migrated away since they were stashed go through the
     /// lock-free deferred stacks (never a second heap lock — the lock
-    /// order stays per-processor → global).
-    unsafe fn flush_magazine(&self, class: usize, mag: &mut Magazine) {
+    /// order stays per-processor → global). Returns the number of blocks
+    /// that left the magazine.
+    unsafe fn flush_magazine(&self, class: usize, mag: &mut Magazine) -> usize {
         self.maybe_tune();
         if let Some(m) = self.metrics_ref() {
             // Flushes only run on a full magazine; record the boundary.
@@ -1048,6 +1063,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if trigger {
             self.restore_invariant(heap, hi);
         }
+        n
     }
 
     /// Drain one superblock's deferred remote-free stack into its free
@@ -1144,8 +1160,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// deferred stack (lock-free; the stacks are drained under the
     /// proper heap locks afterwards).
     unsafe fn park_claimed_slot(&self, claim: &SlotClaim<'_>) {
+        let mut bytes = 0u64;
         for class in 0..MAG_CLASSES {
             let mag = claim.magazine(class);
+            bytes += mag.len() as u64 * self.classes.class(class).block_size as u64;
             while let Some(p) = mag.pop() {
                 let h = read_header(p);
                 let sb = h.value as *mut Superblock;
@@ -1167,6 +1185,11 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 }
                 let _ = Superblock::push_remote(sb, p);
             }
+        }
+        if bytes != 0 {
+            // Guard: `claim`. Everything the slot held is back with the
+            // heaps (parked blocks stay in `u`, DESIGN.md §9).
+            self.stats.on_magazines_parked_in(claim.stats(), bytes);
         }
     }
 
@@ -1412,8 +1435,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 if Superblock::owner(sb) == me {
                     let mag = claim.magazine(class);
                     if mag.len() >= self.tuning.capacity(class) {
-                        self.flush_magazine_lockfree(claim.heap(), slot_idx, class, mag);
-                        self.stats.on_magazine_flush();
+                        let n = self.flush_magazine_lockfree(claim.heap(), slot_idx, class, mag);
+                        // Guard: `claim`; the batch's bytes in one RMW.
+                        self.stats
+                            .on_magazine_flush_in(claim.stats(), n as u64 * block_size as u64);
                         if let Some(m) = self.metrics_ref() {
                             m.on_magazine_flush(self.heap_index_for_current_thread(), class);
                         }
@@ -1423,10 +1448,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     }
                     mag.push(payload);
                     charge_cost(Cost::MagazineOp);
-                    // Guard: `claim` (this slot's shard).
-                    claim.stats().on_magazine_free_hit();
-                    self.stats
-                        .on_free_in(claim.stats(), block_size as u64, false);
+                    // Guard: `claim`. The block stays out of the heaps:
+                    // no shared cell moves.
+                    claim.stats().on_magazine_free(block_size as u64);
                     self.emit(EventKind::FreeMagazine, class as u32, 0);
                     if let Some(m) = self.metrics_ref() {
                         m.on_free(self.heap_index_for_current_thread(), class, true);
@@ -1447,9 +1471,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         }
         let owner = Superblock::owner(sb);
         // No guard: callers arrive with or without a claim (and never
-        // with the owner's), so these stay RMWs on the shared cell.
-        self.stats.on_remote_push();
-        self.stats.on_free((*sb).block_size as u64, true);
+        // with the owner's), so this stays on the shared cell.
+        self.stats.on_deferred_free((*sb).block_size as u64);
         self.emit(EventKind::RemoteFreePush, (*sb).class, owner as u64);
         if let Some(m) = self.metrics_ref() {
             let hi = if owner <= MAX_HEAPS { owner } else { 0 };
@@ -1554,14 +1577,15 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// Lock-free flush: return the oldest half of the `class` magazine.
     /// Slot-owned blocks free directly under the claim; blocks whose
     /// superblock migrated away ride its remote word. The slot-claim
-    /// counterpart of `flush_magazine`.
+    /// counterpart of `flush_magazine`; returns the number of blocks
+    /// that left the magazine.
     unsafe fn flush_magazine_lockfree(
         &self,
         sh: &mut SlotHeap,
         slot_idx: usize,
         class: usize,
         mag: &mut Magazine,
-    ) {
+    ) -> usize {
         self.maybe_tune();
         if let Some(m) = self.metrics_ref() {
             // Flushes only run on a full magazine; record the boundary.
@@ -1605,6 +1629,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if trigger {
             self.restore_slot_invariant(sh, slot_idx);
         }
+        n
     }
 
     /// Re-establish the emptiness invariant on a slot heap by retiring
@@ -2449,6 +2474,8 @@ unsafe impl<Src: ChunkSource> MtAllocator for HoardAllocator<Src> {
         for slot in self.frontend.iter() {
             slot.add_stats_to(&mut snap);
         }
+        // `live_peak` stays the cell's: peak bytes out of the heaps.
+        snap.live_current = self.app_live(snap.live_current);
         snap.with_source(self.source.stats())
     }
 
@@ -2952,5 +2979,182 @@ mod tests {
             h.stats().held_current < h.stats().held_peak,
             "some chunks must have been released"
         );
+    }
+
+    /// The two configurations with a magazine front-end.
+    fn frontends() -> [HoardConfig; 2] {
+        [
+            HoardConfig::with_default_magazines(),
+            HoardConfig::with_lockfree(),
+        ]
+    }
+
+    /// DESIGN.md §15's inventory for a hit: no counter of the shared
+    /// cell moves, while `stats()` still sees every call.
+    #[test]
+    fn a_magazine_hit_writes_no_shared_counter() {
+        const N: u64 = 1000;
+        for cfg in frontends() {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            hoard_sim::switch_context(0, 0);
+            unsafe {
+                // Warm: the first allocation refills, its free stashes.
+                h.deallocate(h.allocate(64).unwrap());
+                let cell = h.stats.snapshot();
+                let before = h.stats();
+                for _ in 0..N {
+                    h.deallocate(h.allocate(64).unwrap());
+                }
+                assert_eq!(h.stats.snapshot(), cell, "a hit moved the shared cell");
+                let mut want = before;
+                want.allocs += N;
+                want.frees += N;
+                want.magazines.alloc_hits += N;
+                want.magazines.free_hits += N;
+                assert_eq!(h.stats(), want);
+            }
+        }
+    }
+
+    /// A deferred remote free moves `live` and the push count, from
+    /// which the snapshot derives its share of `frees`/`remote_frees`;
+    /// nothing else in the cell, and no shard.
+    #[test]
+    fn a_deferred_free_moves_only_live_and_the_push_count() {
+        // Below `remote_limit` of a 64-byte superblock: every free defers.
+        const N: u64 = 20;
+        for cfg in frontends() {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            hoard_sim::switch_context(0, 0);
+            unsafe {
+                let blocks: Vec<_> = (0..N).map(|_| h.allocate(64).unwrap()).collect();
+                hoard_sim::switch_context(1, 0);
+                let cell = h.stats.snapshot();
+                let before = h.stats();
+                for p in blocks {
+                    h.deallocate(p);
+                }
+                let deferred = |mut snap: AllocSnapshot| {
+                    snap.live_current -= N * 64;
+                    snap.frees += N;
+                    snap.remote_frees += N;
+                    snap.magazines.remote_pushes += N;
+                    snap
+                };
+                assert_eq!(h.stats.snapshot(), deferred(cell));
+                assert_eq!(h.stats(), deferred(before));
+            }
+        }
+    }
+
+    /// A refill and a flush each move the cell's `live` once, by the
+    /// batch's bytes, and nothing else in it; their event counts are
+    /// the shard's.
+    #[test]
+    fn a_refill_or_flush_moves_live_by_the_batch() {
+        for cfg in frontends() {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            hoard_sim::switch_context(0, 0);
+            let class = h.size_classes().index_for(64).unwrap();
+            let batch = h.tuning.batch(class) as u64;
+            assert_eq!(h.tuning.capacity(class) as u64, 2 * batch);
+            unsafe {
+                let cell = h.stats.snapshot();
+                let mut held = vec![h.allocate(64).unwrap()];
+                let mut want = cell;
+                want.live_current += batch * 64;
+                want.live_peak += batch * 64;
+                assert_eq!(h.stats.snapshot(), want, "refill");
+                let s = h.stats();
+                assert_eq!((s.magazines.refills, s.allocs, s.live_current), (1, 1, 64));
+
+                // Two more refills leave `batch - 1` blocks cached and
+                // `2 * batch + 1` held: freeing them all overflows the
+                // magazine exactly once.
+                held.extend((0..2 * batch).map(|_| h.allocate(64).unwrap()));
+                let cell = h.stats.snapshot();
+                assert_eq!(cell.live_current, 3 * batch * 64);
+                for p in held {
+                    h.deallocate(p);
+                }
+                let mut want = cell;
+                want.live_current -= batch * 64;
+                assert_eq!(h.stats.snapshot(), want, "flush");
+                let s = h.stats();
+                assert_eq!((s.magazines.refills, s.magazines.flushes), (3, 1));
+                assert_eq!(
+                    (s.allocs, s.frees, s.live_current),
+                    (2 * batch + 1, 2 * batch + 1, 0)
+                );
+                assert_eq!(h.frontend[0].cached_bytes(), cell.live_current - batch * 64);
+            }
+        }
+    }
+
+    /// `live_peak` is the peak of bytes out of the heaps: `max U`
+    /// itself without magazines, and with them above it by no more
+    /// than the magazines of the slots in use can hold. `live_current`
+    /// is the application's figure throughout, with nothing flushed.
+    #[test]
+    fn live_peak_bounds_max_u_from_above_by_the_cached_capacity() {
+        const PROCS: usize = 3;
+        let configs = [
+            HoardConfig::new(),
+            HoardConfig::with_default_magazines(),
+            HoardConfig::with_lockfree(),
+        ];
+        for cfg in configs {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            let slack: u64 = (0..MAG_CLASSES)
+                .map(|c| {
+                    h.magazine_capacity_for(c) as u64 * h.size_classes().class(c).block_size as u64
+                })
+                .sum::<u64>()
+                * PROCS as u64;
+            assert_eq!(slack == 0, !h.magazines_on());
+            let sizes = [16usize, 64, 200, 520, 24, 1024, 96, 5000, 40, 300];
+            let mut held: Vec<(NonNull<u8>, u64)> = Vec::new();
+            let (mut live, mut peak) = (0u64, 0u64);
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+            for step in 0..60_000u32 {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let r = (rng >> 33) as usize;
+                hoard_sim::switch_context(r % PROCS, 0);
+                // Grow for a while, shrink for a while.
+                let growing = (step / 5000) % 2 == 0;
+                unsafe {
+                    if held.is_empty() || (r / 8) % 3 < if growing { 2 } else { 1 } {
+                        let p = h.allocate(sizes[(r / 64) % sizes.len()]).unwrap();
+                        let bytes = h.usable_size(p) as u64;
+                        held.push((p, bytes));
+                        live += bytes;
+                        peak = peak.max(live);
+                    } else {
+                        let (p, bytes) = held.swap_remove((r / 64) % held.len());
+                        h.deallocate(p);
+                        live -= bytes;
+                    }
+                }
+                let s = h.stats();
+                assert_eq!(s.live_current, live, "step {step}");
+                assert!(
+                    peak <= s.live_peak && s.live_peak <= peak + slack,
+                    "step {step}: {s:?}"
+                );
+            }
+            for (p, _) in held.drain(..) {
+                unsafe { h.deallocate(p) };
+            }
+            let s = h.stats();
+            assert_eq!(s.live_current, 0);
+            s.check_consistency().unwrap();
+            if !h.magazines_on() {
+                assert_eq!(s.live_peak, peak);
+            } else {
+                assert!(s.live_peak > peak, "magazines held blocks at the peak");
+            }
+        }
     }
 }

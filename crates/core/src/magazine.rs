@@ -340,6 +340,12 @@ impl MagazineSlot {
         self.stats.add_to(snap);
     }
 
+    /// Bytes of blocks in this slot's magazines (read-only, no claim
+    /// needed; the claimant keeps the gauge through its shard).
+    pub fn cached_bytes(&self) -> u64 {
+        self.stats.cached_bytes()
+    }
+
     /// Claim exclusive access for one operation; `None` when another
     /// claimant holds the slot (caller falls back to the locked path).
     #[inline]

@@ -6,6 +6,12 @@
 //! `1 + p % 16` — and then holds every event counter to two independent
 //! tallies: what the threads know they issued, and what each thread's
 //! private trace track recorded.
+//!
+//! `live_current` is the shared `live` cell less every slot's
+//! single-writer `cached_bytes` gauge, read at different instants, so a
+//! reader thread snapshots throughout and holds each snapshot to what a
+//! racing reader is promised: it never wraps, and never exceeds
+//! `live_peak`.
 
 use hoard_core::{debug, EventKind, HoardAllocator, HoardConfig, TraceConfig, TraceSink};
 use hoard_mem::MtAllocator;
@@ -81,7 +87,7 @@ fn collide(cfg: HoardConfig) {
         .iter()
         .map(|_| crossbeam::channel::unbounded::<Payload>())
         .unzip();
-    let start = Barrier::new(PROCS.len() + 1);
+    let start = Barrier::new(PROCS.len() + 2);
     let done = AtomicBool::new(false);
     std::thread::scope(|scope| {
         let workers: Vec<_> = rxs
@@ -102,11 +108,25 @@ fn collide(cfg: HoardConfig) {
                 std::thread::yield_now();
             }
         });
+        let reader = scope.spawn(|| {
+            start.wait();
+            let mut snapshots = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                let s = h.stats();
+                assert!(s.live_current <= s.live_peak, "{s:?}");
+                // Far above anything this traffic can hold at once: a
+                // wrapped difference would be near 2^64.
+                assert!(s.live_current < 1 << 32, "live_current wrapped: {s:?}");
+                snapshots += 1;
+            }
+            snapshots
+        });
         for w in workers {
             w.join().expect("worker panicked");
         }
         done.store(true, Ordering::Relaxed);
         flusher.join().expect("flusher panicked");
+        assert!(reader.join().expect("reader panicked") > 0);
     });
     h.flush_frontend();
 
@@ -124,6 +144,7 @@ fn collide(cfg: HoardConfig) {
     assert_eq!(log.dropped, 0, "tracks sized to keep every event");
     let (mut magazine_allocs, mut refills, mut free_hits, mut remote_frees) =
         (0u64, 0u64, 0u64, 0u64);
+    let mut pushes = 0u64;
     let (mut allocs, mut frees) = (0u64, 0u64);
     for track in &log.tracks {
         let my_heap = (1 + track.proc % HEAPS) as u64;
@@ -139,9 +160,12 @@ fn collide(cfg: HoardConfig) {
                     frees += 1;
                     free_hits += 1;
                 }
+                // A deferred free: the allocator counts the push alone
+                // and derives its share of `frees` and `remote_frees`.
                 EventKind::RemoteFreePush => {
                     frees += 1;
                     remote_frees += 1;
+                    pushes += 1;
                 }
                 // `arg1` is the owning heap the block was freed into.
                 EventKind::Free => {
@@ -169,6 +193,7 @@ fn collide(cfg: HoardConfig) {
     assert_eq!(stats.magazines.refills, refills, "{stats:?}");
     assert_eq!(stats.magazines.free_hits, free_hits, "{stats:?}");
     assert_eq!(stats.remote_frees, remote_frees, "{stats:?}");
+    assert_eq!(stats.magazines.remote_pushes, pushes, "{stats:?}");
     assert!(
         remote_frees > 0,
         "the cross-heap quarter must free remotely"

@@ -17,8 +17,8 @@
 //!   heap-map snapshot.
 
 use hoard_core::{
-    HardeningLevel, HeapProfiler, HoardAllocator, HoardConfig, MetricsRegistry, TraceConfig,
-    TraceLog, TraceSink,
+    HardeningLevel, HeapProfiler, HoardAllocator, HoardConfig, MetricsRegistry, ProfileConfig,
+    TraceConfig, TraceLog, TraceSink,
 };
 use hoard_mem::MtAllocator;
 use hoard_workloads::threadtest;
@@ -276,6 +276,40 @@ fn profiler_books_cross_check_alloc_stats_and_heap_map() {
     assert_eq!(end.leaked_bytes(), 0);
     assert_eq!(end.total_frees, end.total_allocs);
     assert_eq!(h.heap_map_snapshot().live_bytes(), 0);
+}
+
+/// The allocator's `live` cell counts bytes out of the heaps, magazine
+/// contents included; the timeline's `U` must stay the application's.
+#[test]
+fn timeline_samples_the_applications_bytes_not_the_magazines() {
+    for cfg in [
+        HoardConfig::with_default_magazines(),
+        HoardConfig::with_lockfree(),
+    ] {
+        let h = HoardAllocator::with_config(cfg).unwrap();
+        // An interval of one unit: every operation claims a tick.
+        let prof = Arc::new(HeapProfiler::with_config(ProfileConfig {
+            timeline_interval: 1,
+            ..ProfileConfig::default()
+        }));
+        h.attach_profiler(Arc::clone(&prof));
+        unsafe {
+            // The first allocation refills: a batch leaves the heaps,
+            // one block of it is the program's.
+            let p = h.allocate(64).unwrap();
+            let q = h.allocate(64).unwrap();
+            // A free is sampled before it takes effect.
+            h.deallocate(p);
+            h.deallocate(q);
+        }
+        let u: Vec<u64> = prof
+            .snapshot(hoard_sim::now())
+            .timeline
+            .iter()
+            .map(|point| point.live_bytes)
+            .collect();
+        assert_eq!(u, [64, 128, 128, 64]);
+    }
 }
 
 #[test]

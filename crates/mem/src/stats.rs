@@ -14,10 +14,19 @@
 //! context the allocator already holds on that path (a claimed magazine
 //! slot, a locked heap), bumped with a plain load + store
 //! ([`hoard_sim::single_writer_add`]) and summed into the snapshot by
-//! [`StatsShard::add_to`]. Only `live`/`live_peak` stay a shared RMW, so
-//! that `max U` is exact.
+//! [`StatsShard::add_to`].
+//!
+//! `live` stays one shared cell, but it means **bytes out of the
+//! heaps** — the application's blocks plus whatever sits in thread-local
+//! magazines — so it moves once per *batch* (a refill, a flush) and once
+//! per locked, large or deferred operation, and never on a magazine hit.
+//! Each shard keeps a single-writer [`cached_bytes`](StatsShard::cached_bytes)
+//! gauge of what its magazines hold; the application-facing `U(t)` is the
+//! cell less the sum of the gauges (exact at quiescence), and `live_peak`
+//! is the peak of the cell: `max U` exactly for an allocator without
+//! magazines, at most the magazines' capacity above it with them.
 
-use hoard_sim::single_writer_add;
+use hoard_sim::{single_writer_add, single_writer_sub};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -49,6 +58,11 @@ pub struct StatsShard {
     remote_frees: AtomicU64,
     mag_alloc_hits: AtomicU64,
     mag_free_hits: AtomicU64,
+    mag_refills: AtomicU64,
+    mag_flushes: AtomicU64,
+    /// Bytes of blocks held by the magazines this shard's guard covers:
+    /// counted in [`AllocStats`]'s `live` cell, not in use by the program.
+    cached_bytes: AtomicU64,
 }
 
 impl StatsShard {
@@ -60,38 +74,64 @@ impl StatsShard {
             remote_frees: AtomicU64::new(0),
             mag_alloc_hits: AtomicU64::new(0),
             mag_free_hits: AtomicU64::new(0),
+            mag_refills: AtomicU64::new(0),
+            mag_flushes: AtomicU64::new(0),
+            cached_bytes: AtomicU64::new(0),
         }
     }
 
-    /// Record an allocation served straight from a magazine.
+    /// Record an allocation of `bytes` popped from a magazine: the block
+    /// was already out of the heaps, so only this shard moves. `hit` is
+    /// false when the pop followed a refill (which took the heap's
+    /// guard, so it is no lock bypass).
     #[inline]
-    pub fn on_magazine_alloc_hit(&self) {
-        single_writer_add(&self.mag_alloc_hits, 1);
+    pub fn on_magazine_alloc(&self, bytes: u64, hit: bool) {
+        single_writer_add(&self.allocs, 1);
+        single_writer_sub(&self.cached_bytes, bytes);
+        if hit {
+            single_writer_add(&self.mag_alloc_hits, 1);
+        }
     }
 
-    /// Record a free absorbed by a magazine.
+    /// Record a free of `bytes` absorbed by a magazine: the block stays
+    /// out of the heaps, so only this shard moves.
     #[inline]
-    pub fn on_magazine_free_hit(&self) {
+    pub fn on_magazine_free(&self, bytes: u64) {
+        single_writer_add(&self.frees, 1);
         single_writer_add(&self.mag_free_hits, 1);
+        single_writer_add(&self.cached_bytes, bytes);
     }
 
-    /// Sum this shard's counts into `snap`. Read-only, so it needs no
-    /// guard: exact at quiescence; under traffic each counter is some
-    /// value it held during the call, as for any relaxed snapshot.
+    /// Bytes held by this shard's magazines. Read-only, so it needs no
+    /// guard; a reader subtracts it from the `live` cell, saturating,
+    /// because the two are read at different instants.
+    #[inline]
+    pub fn cached_bytes(&self) -> u64 {
+        self.cached_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Sum this shard's event counts into `snap` (the
+    /// [`cached_bytes`](Self::cached_bytes) gauge is the caller's to
+    /// subtract from `live_current`). Read-only, so it needs no guard:
+    /// exact at quiescence; under traffic each counter is some value it
+    /// held during the call, as for any relaxed snapshot.
     pub fn add_to(&self, snap: &mut AllocSnapshot) {
         snap.allocs += self.allocs.load(Ordering::Relaxed);
         snap.frees += self.frees.load(Ordering::Relaxed);
         snap.remote_frees += self.remote_frees.load(Ordering::Relaxed);
         snap.magazines.alloc_hits += self.mag_alloc_hits.load(Ordering::Relaxed);
         snap.magazines.free_hits += self.mag_free_hits.load(Ordering::Relaxed);
+        snap.magazines.refills += self.mag_refills.load(Ordering::Relaxed);
+        snap.magazines.flushes += self.mag_flushes.load(Ordering::Relaxed);
     }
 }
 
 /// Thread-safe allocator accounting cell. Embed one per allocator.
 ///
 /// Every counter here is updated with an atomic RMW, so any thread may
-/// call any `on_*` at any time; nothing here is ever written with the
-/// shards' load + store.
+/// call any `on_*` at any time (the `*_in` ones from inside the guard of
+/// the shard they take); nothing here is ever written with the shards'
+/// load + store.
 #[derive(Debug, Default)]
 pub struct AllocStats {
     live: AtomicU64,
@@ -101,8 +141,6 @@ pub struct AllocStats {
     remote_frees: AtomicU64,
     transfers_to_global: AtomicU64,
     transfers_from_global: AtomicU64,
-    mag_refills: AtomicU64,
-    mag_flushes: AtomicU64,
     mag_remote_pushes: AtomicU64,
     mag_remote_drains: AtomicU64,
     free_owner_retries: AtomicU64,
@@ -119,16 +157,14 @@ impl AllocStats {
             remote_frees: AtomicU64::new(0),
             transfers_to_global: AtomicU64::new(0),
             transfers_from_global: AtomicU64::new(0),
-            mag_refills: AtomicU64::new(0),
-            mag_flushes: AtomicU64::new(0),
             mag_remote_pushes: AtomicU64::new(0),
             mag_remote_drains: AtomicU64::new(0),
             free_owner_retries: AtomicU64::new(0),
         }
     }
 
-    /// `U(t) += bytes`, raising `max U`: the one shared RMW every
-    /// allocation keeps, so the peak is exact under any interleaving.
+    /// `bytes` more are out of the heaps; raises the peak. One RMW (and
+    /// a CAS only when it sets a new peak).
     #[inline]
     fn live_add(&self, bytes: u64) {
         let now = self.live.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -186,21 +222,40 @@ impl AllocStats {
         self.transfers_from_global.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Record a magazine refill (one locked batch pull from a heap).
+    /// Record a magazine refill (one batch pulled from a heap) from
+    /// inside the exclusive context guarding `shard`: `bytes` leave the
+    /// heaps for the shard's magazines in one RMW on the cell.
     #[inline]
-    pub fn on_magazine_refill(&self) {
-        self.mag_refills.fetch_add(1, Ordering::Relaxed);
+    pub fn on_magazine_refill_in(&self, shard: &StatsShard, bytes: u64) {
+        self.live_add(bytes);
+        single_writer_add(&shard.cached_bytes, bytes);
+        single_writer_add(&shard.mag_refills, 1);
     }
 
-    /// Record a magazine flush (one locked batch return to a heap).
+    /// Record a magazine flush (one batch returned to the heaps), as
+    /// for [`on_magazine_refill_in`](Self::on_magazine_refill_in).
     #[inline]
-    pub fn on_magazine_flush(&self) {
-        self.mag_flushes.fetch_add(1, Ordering::Relaxed);
+    pub fn on_magazine_flush_in(&self, shard: &StatsShard, bytes: u64) {
+        self.on_magazines_parked_in(shard, bytes);
+        single_writer_add(&shard.mag_flushes, 1);
     }
 
-    /// Record a push onto a superblock's deferred remote-free stack.
+    /// `bytes` of the shard's magazine contents went back to the heaps
+    /// outside a flush event (a quiescence park).
     #[inline]
-    pub fn on_remote_push(&self) {
+    pub fn on_magazines_parked_in(&self, shard: &StatsShard, bytes: u64) {
+        self.live.fetch_sub(bytes, Ordering::Relaxed);
+        single_writer_sub(&shard.cached_bytes, bytes);
+    }
+
+    /// Record a free of `bytes` pushed onto a superblock's deferred
+    /// remote-free stack. The pusher holds no guard, so this is the
+    /// cell's: two RMWs, the bytes and the push count — every such push
+    /// is one remote free, which [`snapshot`](Self::snapshot) adds to
+    /// `frees` and `remote_frees` instead of counting it three times.
+    #[inline]
+    pub fn on_deferred_free(&self, bytes: u64) {
+        self.live.fetch_sub(bytes, Ordering::Relaxed);
         self.mag_remote_pushes.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -218,21 +273,27 @@ impl AllocStats {
         self.free_owner_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bytes currently live (in use by the program).
+    /// Bytes currently out of the heaps: in use by the program, plus
+    /// whatever the shards' magazines hold.
     #[inline]
     pub fn live_now(&self) -> u64 {
         self.live.load(Ordering::Relaxed)
     }
 
     /// Point-in-time snapshot of this cell alone: an allocator that
-    /// hands out shards sums each in with [`StatsShard::add_to`].
+    /// hands out shards sums each in with [`StatsShard::add_to`] and
+    /// takes their `cached_bytes` off `live_current`.
     pub fn snapshot(&self) -> AllocSnapshot {
+        let live = self.live.load(Ordering::Relaxed);
+        let deferred = self.mag_remote_pushes.load(Ordering::Relaxed);
         AllocSnapshot {
-            live_current: self.live.load(Ordering::Relaxed),
-            live_peak: self.live_peak.load(Ordering::Relaxed),
+            live_current: live,
+            // A writer raises the peak after the cell, so a racing
+            // reader can catch the cell ahead of it.
+            live_peak: self.live_peak.load(Ordering::Relaxed).max(live),
             allocs: self.allocs.load(Ordering::Relaxed),
-            frees: self.frees.load(Ordering::Relaxed),
-            remote_frees: self.remote_frees.load(Ordering::Relaxed),
+            frees: self.frees.load(Ordering::Relaxed) + deferred,
+            remote_frees: self.remote_frees.load(Ordering::Relaxed) + deferred,
             transfers_to_global: self.transfers_to_global.load(Ordering::Relaxed),
             transfers_from_global: self.transfers_from_global.load(Ordering::Relaxed),
             held_current: 0,
@@ -240,9 +301,9 @@ impl AllocStats {
             magazines: MagazineStats {
                 alloc_hits: 0,
                 free_hits: 0,
-                refills: self.mag_refills.load(Ordering::Relaxed),
-                flushes: self.mag_flushes.load(Ordering::Relaxed),
-                remote_pushes: self.mag_remote_pushes.load(Ordering::Relaxed),
+                refills: 0,
+                flushes: 0,
+                remote_pushes: deferred,
                 remote_drains: self.mag_remote_drains.load(Ordering::Relaxed),
                 free_owner_retries: self.free_owner_retries.load(Ordering::Relaxed),
             },
@@ -254,9 +315,14 @@ impl AllocStats {
 /// with the backing [`SourceStats`](crate::SourceStats) (`held_*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AllocSnapshot {
-    /// Bytes in use (`U(t)`).
+    /// Bytes in use by the program (`U(t)`): exact at quiescence; under
+    /// traffic a difference of values read at different instants,
+    /// clamped to `0 ..= live_peak`.
     pub live_current: u64,
-    /// High-water mark of bytes in use (`max U`).
+    /// Peak bytes out of the heaps: `max U` exactly for an allocator
+    /// without thread-local magazines; with them an upper bound, above
+    /// `max U` by at most what the magazines in use can hold (blocks in
+    /// a magazine have left the heaps but are not the program's).
     pub live_peak: u64,
     /// `malloc` count.
     pub allocs: u64,
@@ -306,7 +372,11 @@ impl AllocSnapshot {
         self
     }
 
-    /// The paper's fragmentation ratio `max A / max U`.
+    /// The paper's fragmentation ratio `max A / max U`, with
+    /// [`live_peak`](Self::live_peak) — peak bytes out of the heaps —
+    /// standing for `max U`: exact without magazines, a slight
+    /// under-estimate with them. (The experiment tables divide by the
+    /// workload's own meter instead, `WorkloadResult::max_live_requested`.)
     ///
     /// Returns `None` when nothing was ever allocated.
     pub fn fragmentation(&self) -> Option<f64> {
@@ -318,8 +388,9 @@ impl AllocSnapshot {
     }
 
     /// Cross-counter consistency checks, valid for any snapshot taken at
-    /// a quiescent point (no in-flight operations). Returns the first
-    /// violated relation. Harness summaries and tests call this so a
+    /// a quiescent point (no in-flight operations); a reader racing
+    /// traffic can rely on `live_current <= live_peak` only. Returns the
+    /// first violated relation. Harness summaries and tests call this so a
     /// counter that silently stops being maintained fails loudly instead
     /// of skewing results tables.
     pub fn check_consistency(&self) -> Result<(), String> {
@@ -400,12 +471,14 @@ mod tests {
         assert_eq!(snap.held_peak, 9);
     }
 
-    /// The cell's snapshot with `shards` summed in, as an allocator
-    /// that hands them out builds its own.
+    /// The cell's snapshot with `shards` summed in and their cached
+    /// bytes taken off `live_current`, as an allocator that hands them
+    /// out builds its own.
     fn snapshot_with(stats: &AllocStats, shards: &[StatsShard]) -> AllocSnapshot {
         let mut snap = stats.snapshot();
         for shard in shards {
             shard.add_to(&mut snap);
+            snap.live_current = snap.live_current.saturating_sub(shard.cached_bytes());
         }
         snap
     }
@@ -490,8 +563,6 @@ mod tests {
             remote_frees: _,
             transfers_to_global: _,
             transfers_from_global: _,
-            mag_refills: _,
-            mag_flushes: _,
             mag_remote_pushes: _,
             mag_remote_drains: _,
             free_owner_retries: _,
@@ -502,15 +573,23 @@ mod tests {
             remote_frees: _,
             mag_alloc_hits: _,
             mag_free_hits: _,
+            mag_refills: _,
+            mag_flushes: _,
+            cached_bytes: _,
         } = &shards[0];
 
+        // Something to free before anything was allocated.
+        stats.on_alloc(64);
         let mut reached = [false; 16];
         let mut check = |name: &str, deltas: &[(usize, i64)], call: &dyn Fn()| {
-            // Raise `live` to the standing peak first, so an allocating
-            // entry point moves `live_peak` by exactly its bytes; the
-            // padding goes through the unowned cell, which is fine here.
-            let at = snapshot_with(&stats, &shards);
-            stats.on_alloc(at.live_peak - at.live_current + 16);
+            // Raise the `live` cell to the standing peak first, so an
+            // entry point that moves bytes out of the heaps moves
+            // `live_peak` by exactly that many; the padding goes through
+            // the unowned cell, which is fine here.
+            let cell = stats.snapshot();
+            if cell.live_current < cell.live_peak {
+                stats.on_alloc(cell.live_peak - cell.live_current);
+            }
             let before = flatten(&snapshot_with(&stats, &shards));
             call();
             let after = flatten(&snapshot_with(&stats, &shards));
@@ -537,9 +616,18 @@ mod tests {
         check("from_global", &[(FROM_GLOBAL, 1)], &|| {
             stats.on_transfer_from_global()
         });
-        check("refill", &[(REFILLS, 1)], &|| stats.on_magazine_refill());
-        check("flush", &[(FLUSHES, 1)], &|| stats.on_magazine_flush());
-        check("remote_push", &[(PUSHES, 1)], &|| stats.on_remote_push());
+        // A deferred free surfaces in four fields from two RMWs: the
+        // cell's own `frees` and `remote_frees` stay put.
+        let deferred = [(LIVE, -8), (FREES, 1), (REMOTE, 1), (PUSHES, 1)];
+        let raw = |s: &AllocStats| {
+            (
+                s.frees.load(Ordering::Relaxed),
+                s.remote_frees.load(Ordering::Relaxed),
+            )
+        };
+        let raw_before = raw(&stats);
+        check("deferred_free", &deferred, &|| stats.on_deferred_free(8));
+        assert_eq!(raw(&stats), raw_before);
         check("remote_drain", &[(DRAINS, 1)], &|| stats.on_remote_drain());
         check("owner_retry", &[(RETRIES, 1)], &|| {
             stats.on_free_owner_retry()
@@ -551,12 +639,30 @@ mod tests {
             check("on_free_in remote", &free_remote, &|| {
                 stats.on_free_in(shard, 8, true)
             });
-            check("shard alloc hit", &[(HITS_A, 1)], &|| {
-                shard.on_magazine_alloc_hit()
+            // A batch into the shard's magazines: out of the heaps
+            // (the peak sees it), not yet the application's.
+            check("refill_in", &[(PEAK, 24), (REFILLS, 1)], &|| {
+                stats.on_magazine_refill_in(shard, 24)
             });
-            check("shard free hit", &[(HITS_F, 1)], &|| {
-                shard.on_magazine_free_hit()
+            // Hits and the pop after a refill move the shard alone: the
+            // cell's own snapshot is bit-identical across them.
+            let cell_before = stats.snapshot();
+            let hit = [(LIVE, 8), (ALLOCS, 1), (HITS_A, 1)];
+            let popped = [(LIVE, 8), (ALLOCS, 1)];
+            let stashed = [(LIVE, -8), (FREES, 1), (HITS_F, 1)];
+            check("magazine alloc hit", &hit, &|| {
+                shard.on_magazine_alloc(8, true)
             });
+            check("magazine alloc after refill", &popped, &|| {
+                shard.on_magazine_alloc(8, false)
+            });
+            check("magazine free", &stashed, &|| shard.on_magazine_free(8));
+            assert_eq!(stats.snapshot(), cell_before, "a hit wrote the shared cell");
+            check("flush_in", &[(FLUSHES, 1)], &|| {
+                stats.on_magazine_flush_in(shard, 8)
+            });
+            check("parked_in", &[], &|| stats.on_magazines_parked_in(shard, 8));
+            assert_eq!(shard.cached_bytes(), 0);
         }
         for (field, hit) in reached.iter().enumerate() {
             // `held_*` come from `SourceStats` (see `with_source`).
@@ -568,9 +674,10 @@ mod tests {
         // A shard left out of the sum loses exactly its own events.
         let partial = snapshot_with(&stats, &shards[..1]);
         let full = snapshot_with(&stats, &shards);
-        assert_eq!(full.allocs - partial.allocs, 1);
-        assert_eq!(full.frees - partial.frees, 2);
+        assert_eq!(full.allocs - partial.allocs, 3);
+        assert_eq!(full.frees - partial.frees, 3);
         assert_eq!(full.magazines.alloc_hits - partial.magazines.alloc_hits, 1);
+        assert_eq!(full.magazines.refills - partial.magazines.refills, 1);
     }
 
     #[test]
@@ -580,7 +687,8 @@ mod tests {
         s.on_alloc(32);
         s.on_free(64, false);
         let shard = StatsShard::new();
-        shard.on_magazine_alloc_hit();
+        s.on_magazine_refill_in(&shard, 16);
+        shard.on_magazine_alloc(16, true);
         let real = snapshot_with(&s, &[shard]);
         assert_eq!(real.magazines.alloc_hits, 1);
         assert_eq!(real.check_consistency(), Ok(()));

@@ -57,11 +57,9 @@ fn main() {
         let served_all = s.allocs == summary.sessions;
         let drained = s.frees == s.allocs && s.live_current == 0;
         let ok = served_all && drained;
-        let frag = if s.live_peak == 0 {
-            0.0
-        } else {
-            s.held_peak as f64 / s.live_peak as f64
-        };
+        // `max A` over the replay's own `max U` (requested bytes), the
+        // ratio every table in this repo uses.
+        let frag = result.fragmentation().unwrap_or(0.0);
         println!(
             "{:<10} {:>14} {:>12.1} {:>12} {:>14.2} {:>8}",
             kind.label(),
