@@ -225,26 +225,31 @@ mod tests {
         // Ownership fixes pure-private's runaway growth: the producer
         // reuses blocks the consumer sends home.
         let a = Arc::new(OwnershipAllocator::with_arenas(8));
-        let (tx, rx) = hoard_sim::vchannel_bounded::<Vec<usize>>(1);
+        // One batch in flight at a time: the producer waits for the
+        // consumer's ack before allocating the next.
+        let (tx, rx) = hoard_sim::vchannel::<Vec<usize>>();
+        let (ack_tx, ack_rx) = hoard_sim::vchannel::<()>();
         hoard_sim::Machine::new(2).run(|proc| -> Box<dyn FnOnce() + Send> {
             let a = Arc::clone(&a);
             if proc == 0 {
-                let tx = tx.clone();
+                let (tx, ack_rx) = (tx.clone(), ack_rx.clone());
                 Box::new(move || {
                     for _ in 0..40 {
                         let ptrs: Vec<usize> = (0..64)
                             .map(|_| unsafe { a.allocate(256) }.unwrap().as_ptr() as usize)
                             .collect();
                         tx.send(ptrs).unwrap();
+                        ack_rx.recv().unwrap();
                     }
                 })
             } else {
-                let rx = rx.clone();
+                let (rx, ack_tx) = (rx.clone(), ack_tx.clone());
                 Box::new(move || {
                     for _ in 0..40 {
                         for p in rx.recv().unwrap() {
                             unsafe { a.deallocate(NonNull::new_unchecked(p as *mut u8)) };
                         }
+                        ack_tx.send(()).unwrap();
                     }
                 })
             }
@@ -289,7 +294,7 @@ mod tests {
     #[test]
     fn parallel_churn_with_remote_frees_is_safe() {
         let a = Arc::new(OwnershipAllocator::with_arenas(8));
-        let (tx, rx) = crossbeam::channel::unbounded::<usize>();
+        let (tx, rx) = hoard_sim::vchannel::<usize>();
         let threads: Vec<_> = (0..4)
             .map(|t| {
                 let a = Arc::clone(&a);
@@ -299,7 +304,7 @@ mod tests {
                     for i in 0..2000usize {
                         let p = unsafe { a.allocate(8 + (i * t) % 400) }.unwrap();
                         tx.send(p.as_ptr() as usize).unwrap();
-                        if let Ok(q) = rx.try_recv() {
+                        if let Ok(Some(q)) = rx.try_recv() {
                             unsafe { a.deallocate(NonNull::new_unchecked(q as *mut u8)) };
                         }
                     }
@@ -310,7 +315,7 @@ mod tests {
             t.join().unwrap();
         }
         drop(tx);
-        while let Ok(q) = rx.try_recv() {
+        while let Ok(Some(q)) = rx.try_recv() {
             unsafe { a.deallocate(NonNull::new_unchecked(q as *mut u8)) };
         }
         assert_eq!(a.stats().live_current, 0);

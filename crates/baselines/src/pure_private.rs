@@ -180,7 +180,10 @@ mod tests {
         let a = Arc::new(PurePrivateAllocator::with_heaps(8));
         let rounds = 40usize;
         let batch = 64usize;
-        let (tx, rx) = hoard_sim::vchannel_bounded::<Vec<usize>>(1);
+        // One batch in flight at a time: the producer waits for the
+        // consumer's ack before allocating the next.
+        let (tx, rx) = hoard_sim::vchannel::<Vec<usize>>();
+        let (ack_tx, ack_rx) = hoard_sim::vchannel::<()>();
         // Run under a simulated machine so producer and consumer map to
         // *distinct* heaps deterministically (procs 0 and 1). The
         // sim-aware channel marks blocked workers for the ordering gate —
@@ -188,23 +191,25 @@ mod tests {
         hoard_sim::Machine::new(2).run(|proc| -> Box<dyn FnOnce() + Send> {
             if proc == 0 {
                 let a = Arc::clone(&a);
-                let tx = tx.clone();
+                let (tx, ack_rx) = (tx.clone(), ack_rx.clone());
                 Box::new(move || {
                     for _ in 0..rounds {
                         let ptrs: Vec<usize> = (0..batch)
                             .map(|_| unsafe { a.allocate(256) }.unwrap().as_ptr() as usize)
                             .collect();
                         tx.send(ptrs).unwrap();
+                        ack_rx.recv().unwrap();
                     }
                 })
             } else {
                 let a = Arc::clone(&a);
-                let rx = rx.clone();
+                let (rx, ack_tx) = (rx.clone(), ack_tx.clone());
                 Box::new(move || {
                     for _ in 0..rounds {
                         for p in rx.recv().unwrap() {
                             unsafe { a.deallocate(NonNull::new_unchecked(p as *mut u8)) };
                         }
+                        ack_tx.send(()).unwrap();
                     }
                 })
             }

@@ -1,7 +1,3 @@
-// The stub ProptestConfig used offline has only the fields we set, which
-// makes `..default()` a needless_update under clippy; keep it for real proptest.
-#![allow(clippy::needless_update)]
-
 //! Property-based differential testing of the baseline allocators: a
 //! shared model (a map of live blocks) checks every allocator against
 //! the same randomly generated traces, verifying non-overlap, content
@@ -11,7 +7,7 @@ use hoard_baselines::{
     MtLikeAllocator, OwnershipAllocator, PurePrivateAllocator, SerialAllocator,
 };
 use hoard_mem::MtAllocator;
-use proptest::prelude::*;
+use hoard_sim::Rng;
 use std::collections::BTreeMap;
 use std::ptr::NonNull;
 
@@ -21,18 +17,25 @@ enum Op {
     Free(usize),
 }
 
-fn ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            3 => (1usize..=2000).prop_map(Op::Alloc),
-            1 => (4001usize..=20_000).prop_map(Op::Alloc), // large path
-            4 => any::<usize>().prop_map(Op::Free),
-        ],
-        1..200,
-    )
+/// Up to 199 ops: small allocations, some on the large path, and frees
+/// of any live block.
+fn gen_ops(rng: &mut Rng) -> Vec<Op> {
+    (0..rng.range(1, 199))
+        .map(|_| match rng.range(0, 7) {
+            0..=2 => Op::Alloc(rng.range(1, 2000)),
+            3 => Op::Alloc(rng.range(4001, 20_000)), // large path
+            _ => Op::Free(rng.next_u64() as usize),
+        })
+        .collect()
 }
 
-fn check(alloc: &dyn MtAllocator, trace: &[Op]) -> Result<(), TestCaseError> {
+/// Check a fresh allocator against the model on each of 48 generated
+/// traces; a failure names the seed that reproduces it.
+fn check<A: MtAllocator>(new: fn() -> A) {
+    Rng::for_each_case(48, |rng| check_trace(&new(), &gen_ops(rng)));
+}
+
+fn check_trace(alloc: &dyn MtAllocator, trace: &[Op]) {
     // Model: payload address -> (size, fill byte). BTreeMap gives
     // deterministic overlap queries via range scans.
     let mut model: BTreeMap<usize, (usize, u8)> = BTreeMap::new();
@@ -44,8 +47,8 @@ fn check(alloc: &dyn MtAllocator, trace: &[Op]) -> Result<(), TestCaseError> {
                 stamp = stamp.wrapping_add(1);
                 let p = unsafe { alloc.allocate(*size) }.expect("allocation");
                 let addr = p.as_ptr() as usize;
-                prop_assert_eq!(addr % 8, 0, "{}: alignment", alloc.name());
-                prop_assert!(
+                assert_eq!(addr % 8, 0, "{}: alignment", alloc.name());
+                assert!(
                     unsafe { alloc.usable_size(p) } >= *size,
                     "{}: usable_size",
                     alloc.name()
@@ -55,14 +58,14 @@ fn check(alloc: &dyn MtAllocator, trace: &[Op]) -> Result<(), TestCaseError> {
                 if let Some((&prev_addr, &(prev_size, _))) =
                     model.range(..=addr).next_back()
                 {
-                    prop_assert!(
+                    assert!(
                         prev_addr + prev_size <= addr,
                         "{}: overlaps predecessor",
                         alloc.name()
                     );
                 }
                 if let Some((&next_addr, _)) = model.range(addr + 1..).next() {
-                    prop_assert!(
+                    assert!(
                         addr + size <= next_addr,
                         "{}: overlaps successor",
                         alloc.name()
@@ -79,7 +82,7 @@ fn check(alloc: &dyn MtAllocator, trace: &[Op]) -> Result<(), TestCaseError> {
                 let addr = order.swap_remove(pick % order.len());
                 let (size, fill) = model.remove(&addr).expect("model holds it");
                 for off in (0..size).step_by(61) {
-                    prop_assert_eq!(
+                    assert_eq!(
                         unsafe { *(addr as *const u8).add(off) },
                         fill,
                         "{}: corruption",
@@ -96,31 +99,26 @@ fn check(alloc: &dyn MtAllocator, trace: &[Op]) -> Result<(), TestCaseError> {
         unsafe { alloc.deallocate(NonNull::new_unchecked(addr as *mut u8)) };
     }
     let snap = alloc.stats();
-    prop_assert_eq!(snap.live_current, 0, "{}: leak", alloc.name());
-    prop_assert_eq!(snap.allocs, snap.frees, "{}: op imbalance", alloc.name());
-    Ok(())
+    assert_eq!(snap.live_current, 0, "{}: leak", alloc.name());
+    assert_eq!(snap.allocs, snap.frees, "{}: op imbalance", alloc.name());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+#[test]
+fn serial_model_checked() {
+    check(SerialAllocator::new);
+}
 
-    #[test]
-    fn serial_model_checked(trace in ops()) {
-        check(&SerialAllocator::new(), &trace)?;
-    }
+#[test]
+fn pure_private_model_checked() {
+    check(PurePrivateAllocator::new);
+}
 
-    #[test]
-    fn pure_private_model_checked(trace in ops()) {
-        check(&PurePrivateAllocator::new(), &trace)?;
-    }
+#[test]
+fn ownership_model_checked() {
+    check(OwnershipAllocator::new);
+}
 
-    #[test]
-    fn ownership_model_checked(trace in ops()) {
-        check(&OwnershipAllocator::new(), &trace)?;
-    }
-
-    #[test]
-    fn mtlike_model_checked(trace in ops()) {
-        check(&MtLikeAllocator::new(), &trace)?;
-    }
+#[test]
+fn mtlike_model_checked() {
+    check(MtLikeAllocator::new);
 }

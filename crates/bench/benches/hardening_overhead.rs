@@ -4,108 +4,76 @@
 //! the single alloc/free pair (free-list hit plus the deallocate
 //! checks), LIFO batch churn (block reuse, where `Full` verifies
 //! poison and rewrites canaries), and mixed small sizes. `Off` must
-//! price at the paper's layout — no canary stride, no checks — so any
-//! gap between `Off` here and the same shapes in `alloc_micro` is
-//! noise, not design. Measured medians are recorded in
-//! `results/hardening_overhead.txt`.
+//! price at the paper's layout — no canary stride, no checks. Measured
+//! medians are recorded in `results/hardening_overhead.txt`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hoard_bench::report;
 use hoard_core::{HardeningLevel, HoardAllocator, HoardConfig};
 use hoard_mem::MtAllocator;
 use std::hint::black_box;
 
-const LEVELS: [HardeningLevel; 3] = [
-    HardeningLevel::Off,
-    HardeningLevel::Basic,
-    HardeningLevel::Full,
+const LEVELS: [(HardeningLevel, &str); 3] = [
+    (HardeningLevel::Off, "off"),
+    (HardeningLevel::Basic, "basic"),
+    (HardeningLevel::Full, "full"),
 ];
-
-fn label(level: HardeningLevel) -> &'static str {
-    match level {
-        HardeningLevel::Off => "off",
-        HardeningLevel::Basic => "basic",
-        HardeningLevel::Full => "full",
-    }
-}
 
 fn build(level: HardeningLevel) -> HoardAllocator {
     HoardAllocator::with_config(HoardConfig::new().with_hardening(level))
         .expect("hardened config is valid")
 }
 
-fn tune(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.measurement_time(std::time::Duration::from_secs(1));
-}
-
-fn bench_pair(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hardening_alloc_free_pair");
-    tune(&mut group);
-    group.throughput(Throughput::Elements(1));
-    for level in LEVELS {
+fn bench_pair() {
+    for (level, label) in LEVELS {
         for size in [8usize, 64, 512] {
             let alloc = build(level);
-            group.bench_with_input(
-                BenchmarkId::new(label(level), size),
-                &size,
-                |b, &size| {
-                    b.iter(|| unsafe {
-                        let p = alloc.allocate(black_box(size)).unwrap();
-                        alloc.deallocate(black_box(p));
-                    })
-                },
-            );
+            let name = format!("hardening_alloc_free_pair/{label}/{size}");
+            report(&name, 1, || unsafe {
+                let p = alloc.allocate(black_box(size)).unwrap();
+                alloc.deallocate(black_box(p));
+            });
         }
     }
-    group.finish();
 }
 
-fn bench_batch_churn(c: &mut Criterion) {
+fn bench_batch_churn() {
     const BATCH: usize = 100;
-    let mut group = c.benchmark_group("hardening_batch_churn");
-    tune(&mut group);
-    group.throughput(Throughput::Elements(2 * BATCH as u64));
-    for level in LEVELS {
+    for (level, label) in LEVELS {
         let alloc = build(level);
-        group.bench_function(label(level), |b| {
-            let mut ptrs = Vec::with_capacity(BATCH);
-            b.iter(|| unsafe {
-                for _ in 0..BATCH {
-                    ptrs.push(alloc.allocate(black_box(64)).unwrap());
-                }
-                for p in ptrs.drain(..) {
-                    alloc.deallocate(p);
-                }
-            })
+        let mut ptrs = Vec::with_capacity(BATCH);
+        let name = format!("hardening_batch_churn/{label}");
+        report(&name, 2 * BATCH as u64, || unsafe {
+            for _ in 0..BATCH {
+                ptrs.push(alloc.allocate(black_box(64)).unwrap());
+            }
+            for p in ptrs.drain(..) {
+                alloc.deallocate(p);
+            }
         });
     }
-    group.finish();
 }
 
-fn bench_mixed_classes(c: &mut Criterion) {
+fn bench_mixed_classes() {
     // Rotating small sizes so several size classes (and their free
     // lists) stay warm — closer to workload traffic than one class.
     const SIZES: [usize; 6] = [8, 24, 48, 96, 256, 1024];
-    let mut group = c.benchmark_group("hardening_mixed_small");
-    tune(&mut group);
-    group.throughput(Throughput::Elements(SIZES.len() as u64 * 2));
-    for level in LEVELS {
+    for (level, label) in LEVELS {
         let alloc = build(level);
-        group.bench_function(label(level), |b| {
-            let mut ptrs = Vec::with_capacity(SIZES.len());
-            b.iter(|| unsafe {
-                for size in SIZES {
-                    ptrs.push(alloc.allocate(black_box(size)).unwrap());
-                }
-                for p in ptrs.drain(..) {
-                    alloc.deallocate(p);
-                }
-            })
+        let mut ptrs = Vec::with_capacity(SIZES.len());
+        let name = format!("hardening_mixed_small/{label}");
+        report(&name, 2 * SIZES.len() as u64, || unsafe {
+            for size in SIZES {
+                ptrs.push(alloc.allocate(black_box(size)).unwrap());
+            }
+            for p in ptrs.drain(..) {
+                alloc.deallocate(p);
+            }
         });
     }
-    group.finish();
 }
 
-criterion_group!(benches, bench_pair, bench_batch_churn, bench_mixed_classes);
-criterion_main!(benches);
+fn main() {
+    bench_pair();
+    bench_batch_churn();
+    bench_mixed_classes();
+}

@@ -5,14 +5,14 @@
 //!
 //! 1. **virtual time** — the sim charges `Cost::TraceEvent` per emitted
 //!    event, so tracing shifts the modelled makespan; the acceptance
-//!    bound is ≤ 10% on threadtest/larson. Printed before the criterion
-//!    groups (it needs one run each, not sampling).
+//!    bound is ≤ 10% on threadtest/larson. Printed first (it needs one
+//!    run each, not sampling).
 //! 2. **wall time** — the real cost of the hooks themselves (the atomic
 //!    gate when off; the ring-buffer write when on).
 //!
 //! Medians are recorded in `results/trace_overhead.txt`.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use hoard_bench::report;
 use hoard_core::{HoardAllocator, HoardConfig, TraceConfig, TraceSink};
 use hoard_mem::MtAllocator;
 use hoard_workloads::{larson, threadtest};
@@ -73,55 +73,37 @@ fn report_virtual_overhead() {
     }
 }
 
-fn tune(group: &mut criterion::BenchmarkGroup<'_, criterion::measurement::WallTime>) {
-    group.sample_size(20);
-    group.warm_up_time(std::time::Duration::from_millis(200));
-    group.measurement_time(std::time::Duration::from_secs(1));
-}
-
-fn bench_pair(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_alloc_free_pair");
-    tune(&mut group);
-    group.throughput(Throughput::Elements(1));
+fn bench_pair() {
     for (mode, label) in MODES {
         let alloc = build(mode);
-        group.bench_function(label, |b| {
-            b.iter(|| unsafe {
-                let p = alloc.allocate(black_box(64)).unwrap();
-                alloc.deallocate(black_box(p));
-            })
+        let name = format!("trace_alloc_free_pair/{label}");
+        report(&name, 1, || unsafe {
+            let p = alloc.allocate(black_box(64)).unwrap();
+            alloc.deallocate(black_box(p));
         });
     }
-    group.finish();
 }
 
-fn bench_churn(c: &mut Criterion) {
+fn bench_churn() {
     const BATCH: usize = 100;
-    let mut group = c.benchmark_group("trace_batch_churn");
-    tune(&mut group);
-    group.throughput(Throughput::Elements(2 * BATCH as u64));
     for (mode, label) in MODES {
         let alloc = build(mode);
-        group.bench_function(label, |b| {
-            let mut ptrs = Vec::with_capacity(BATCH);
-            b.iter(|| unsafe {
-                for _ in 0..BATCH {
-                    ptrs.push(alloc.allocate(black_box(64)).unwrap());
-                }
-                for p in ptrs.drain(..) {
-                    alloc.deallocate(p);
-                }
-            })
+        let mut ptrs = Vec::with_capacity(BATCH);
+        let name = format!("trace_batch_churn/{label}");
+        report(&name, 2 * BATCH as u64, || unsafe {
+            for _ in 0..BATCH {
+                ptrs.push(alloc.allocate(black_box(64)).unwrap());
+            }
+            for p in ptrs.drain(..) {
+                alloc.deallocate(p);
+            }
         });
     }
-    group.finish();
 }
 
-fn benches_with_preamble(c: &mut Criterion) {
+fn main() {
     report_virtual_overhead();
-    bench_pair(c);
-    bench_churn(c);
+    println!("# wall time of the hooks themselves");
+    bench_pair();
+    bench_churn();
 }
-
-criterion_group!(benches, benches_with_preamble);
-criterion_main!(benches);

@@ -1,44 +1,60 @@
-//! # hoard-bench — Criterion benchmarks for the reproduction
+//! # hoard-bench — wall-clock overhead benches for the reproduction
 //!
-//! Three bench binaries live under `benches/`:
+//! Two plain programs live under `benches/` (`harness = false`, timed
+//! with [`std::time::Instant`]); each is the `Source:` of a
+//! `results/*.txt` file:
 //!
-//! * `speedup_curves` — one group per paper figure (`e2`..`e8`): every
-//!   allocator × thread count, reported in **virtual time** (the
-//!   simulated machine's makespan, encoded as nanoseconds via
-//!   `iter_custom`), so Criterion's statistics and comparisons apply to
-//!   the same quantity the paper plots.
-//! * `alloc_micro` — real wall-clock micro-benchmarks of the allocator
-//!   hot paths (single-thread `malloc`/`free`, batch churn, mixed
-//!   sizes), the uniprocessor-overhead complement (experiment E10).
-//! * `ablations` — Hoard design-parameter sweeps (`f`, `K`, `S`,
-//!   fullness-group policy effects) in virtual time (experiment E12's
-//!   bench form).
+//! * `hardening_overhead` — `HardeningLevel` Off vs Basic vs Full on the
+//!   small-allocation paths the levels touch.
+//! * `trace_overhead` — telemetry off vs metrics-only vs full tracing,
+//!   in virtual time and in wall time.
 //!
-//! This library hosts the small shared helpers.
+//! End-to-end numbers (virtual makespans, `wall_ns_per_op.*`, the
+//! per-layer probes) come from the repo benchmark under `benchmark/` and
+//! from `reproduce`; this library hosts the one shared timer.
 
-use hoard_mem::MtAllocator;
-use hoard_workloads::WorkloadResult;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Convert a virtual-time makespan to a [`Duration`] (1 unit = 1 ns) so
-/// Criterion can aggregate it via `iter_custom`.
-pub fn vtime(makespan: u64) -> Duration {
-    Duration::from_nanos(makespan)
+/// Samples per measurement; [`median_ns`] reports their median.
+const SAMPLES: usize = 20;
+
+/// Wall time one sample should take: long enough that the clock reads
+/// at its two ends are noise.
+const SAMPLE_TIME: Duration = Duration::from_millis(5);
+
+fn time_calls(calls: u64, iter: &mut impl FnMut()) -> Duration {
+    let start = Instant::now();
+    for _ in 0..calls {
+        iter();
+    }
+    start.elapsed()
 }
 
-/// Run `workload` `iters` times on fresh allocators from `factory`,
-/// summing virtual makespans (the `iter_custom` contract).
-pub fn measure_virtual(
-    iters: u64,
-    factory: &dyn Fn() -> Box<dyn MtAllocator>,
-    workload: &dyn Fn(&dyn MtAllocator) -> WorkloadResult,
-) -> Duration {
-    let mut total = 0u64;
-    for _ in 0..iters {
-        let alloc = factory();
-        total += workload(&*alloc).makespan;
+/// Median wall-clock nanoseconds per call of `iter` over [`SAMPLES`]
+/// samples. The calls per sample are doubled until one sample fills
+/// [`SAMPLE_TIME`], which also warms the measured path up.
+fn median_ns(mut iter: impl FnMut()) -> f64 {
+    let mut calls = 1u64;
+    while time_calls(calls, &mut iter) < SAMPLE_TIME {
+        calls *= 2;
     }
-    vtime(total)
+    let mut samples: Vec<f64> = (0..SAMPLES)
+        .map(|_| time_calls(calls, &mut iter).as_nanos() as f64 / calls as f64)
+        .collect();
+    samples.sort_by(f64::total_cmp);
+    (samples[SAMPLES / 2 - 1] + samples[SAMPLES / 2]) / 2.0
+}
+
+/// Measure `iter` and print one `results/*.txt` row: `name`, ns per
+/// call, and ns per operation when one call performs `ops` of them.
+pub fn report(name: &str, ops: u64, iter: impl FnMut()) {
+    let ns = median_ns(iter);
+    if ops == 1 {
+        println!("{name:<36}{ns:>9.1} ns/iter");
+    } else {
+        let per_op = ns / ops as f64;
+        println!("{name:<36}{ns:>9.1} ns/iter  ({per_op:>5.1} ns/op)");
+    }
 }
 
 #[cfg(test)]
@@ -46,27 +62,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn vtime_maps_units_to_nanos() {
-        assert_eq!(vtime(1234).as_nanos(), 1234);
-    }
-
-    #[test]
-    fn measure_virtual_sums_runs() {
-        let factory = || -> Box<dyn MtAllocator> {
-            Box::new(hoard_core::HoardAllocator::new_default())
-        };
-        let params = hoard_workloads::threadtest::Params {
-            total_objects: 500,
-            batch: 50,
-            size: 8,
-            work_per_object: 10,
-        };
-        let one = measure_virtual(1, &factory, &|a| {
-            hoard_workloads::threadtest::run(a, 2, &params)
+    fn median_is_per_call_and_every_sample_runs() {
+        let mut calls = 0u64;
+        let ns = median_ns(|| {
+            calls += 1;
+            std::hint::black_box((0..100u64).sum::<u64>());
         });
-        let three = measure_virtual(3, &factory, &|a| {
-            hoard_workloads::threadtest::run(a, 2, &params)
-        });
-        assert!(three > one, "summing over iterations");
+        assert!(ns.is_finite() && ns > 0.0);
+        // One sample of this closure is far below a millisecond, so the
+        // calibration doubled at least once and 20 samples followed.
+        assert!(ns < 1e6, "per call, not per sample: {ns}");
+        assert!(calls > SAMPLES as u64);
     }
 }

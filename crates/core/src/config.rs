@@ -4,7 +4,6 @@
 
 use crate::harden::HardeningLevel;
 use crate::MAX_HEAPS;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a [`crate::HoardAllocator`].
 ///
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 ///     .with_heap_count(14);
 /// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HoardConfig {
     /// Superblock size `S` in bytes (power of two, ≥ 1 KiB).
     pub superblock_size: usize,
@@ -59,7 +58,6 @@ pub struct HoardConfig {
     /// How hard the allocator defends its deallocation paths against
     /// heap misuse (double free, foreign pointers, overruns). See
     /// [`HardeningLevel`]; `Off` reproduces the paper's allocator.
-    #[serde(default)]
     pub hardening: HardeningLevel,
     /// Capacity (in blocks, per thread slot and size class) of the
     /// thread-local magazine front-end. `0` disables the front-end
@@ -69,7 +67,6 @@ pub struct HoardConfig {
     /// magazine-held blocks stay counted in the owning heap's `u`/`a`,
     /// so the emptiness invariant and the blowup bound gain only the
     /// bounded additive term derived in DESIGN.md §9.
-    #[serde(default)]
     pub magazine_capacity: usize,
     /// Route the slow paths through the lock-free back-end: superblock
     /// chunks aligned to `S` so metadata lookup is an address mask,
@@ -80,7 +77,6 @@ pub struct HoardConfig {
     /// the magazine front-end: the lock-free back-end hangs superblock
     /// ownership off the per-thread slots, so `magazine_capacity` must
     /// be non-zero when this is on.
-    #[serde(default)]
     pub lockfree_backend: bool,
     /// Let the online feedback controller retune the allocator while it
     /// runs: per-size-class magazine capacities and refill/flush batch
@@ -92,7 +88,6 @@ pub struct HoardConfig {
     /// replay-deterministic. Off (the default) reproduces the static
     /// configuration bit for bit; on requires the magazine front-end,
     /// whose refill/flush paths drive the controller.
-    #[serde(default)]
     pub adaptive_tuning: bool,
 }
 
@@ -461,19 +456,5 @@ mod tests {
             HoardConfig::new().with_adaptive_tuning(true).validate(),
             Err(ConfigError::AdaptiveNeedsMagazines)
         );
-        // Configs serialized before the controller existed still parse,
-        // with tuning off.
-        let old = "{\"superblock_size\":8192,\"empty_fraction_num\":1,\
-                   \"empty_fraction_den\":2,\"slack_k\":2,\"heap_count\":16,\
-                   \"release_empty_to_os\":false}";
-        let parsed: HoardConfig = serde_json::from_str(old).unwrap();
-        assert!(!parsed.adaptive_tuning);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let c = HoardConfig::new().with_slack(3);
-        let s = serde_json::to_string(&c).unwrap();
-        assert_eq!(serde_json::from_str::<HoardConfig>(&s).unwrap(), c);
     }
 }

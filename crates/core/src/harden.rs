@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering, Ordering::
 use std::sync::Mutex;
 
 /// How much checking the allocator performs on its hot paths.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HardeningLevel {
     /// No checks beyond debug assertions — the paper's allocator.
     #[default]

@@ -204,7 +204,7 @@ fn packed_remote_word_carries_producer_consumer_traffic() {
     unsafe impl Send for Payload {}
 
     let h = Arc::new(HoardAllocator::with_config(lockfree()).unwrap());
-    let (tx, rx) = crossbeam::channel::bounded::<Payload>(128);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Payload>(128);
     let producer = {
         let h = Arc::clone(&h);
         std::thread::spawn(move || {

@@ -73,7 +73,7 @@ fn producer_consumer_remote_frees() {
     // allocates, consumer frees. Hoard's ownership-based frees plus the
     // global heap must keep memory bounded and state consistent.
     let h = Arc::new(HoardAllocator::new_default());
-    let (tx, rx) = crossbeam::channel::bounded::<Payload>(128);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Payload>(128);
 
     let producer = {
         let h = Arc::clone(&h);

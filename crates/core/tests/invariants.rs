@@ -1,7 +1,3 @@
-// The stub ProptestConfig used offline has only the fields we set, which
-// makes `..default()` a needless_update under clippy; keep it for real proptest.
-#![allow(clippy::needless_update)]
-
 //! Property-based verification of the paper's formal claims.
 //!
 //! * **Emptiness invariant postcondition** — after every `free`, each
@@ -13,10 +9,16 @@
 //!   peak live memory plus an `O(P·S)` additive term.
 //! * **Memory safety model check** — live blocks never overlap, survive
 //!   fill patterns, and are all returned.
+//!
+//! Each property runs over [`CASES`] generated traces, one per seed; a
+//! failure names the seed that reproduces it.
 
 use hoard_core::{debug, HoardAllocator, HoardConfig};
 use hoard_mem::MtAllocator;
-use proptest::prelude::*;
+use hoard_sim::Rng;
+
+/// Generated cases per property.
+const CASES: u64 = 64;
 
 /// A single step in a generated allocation trace.
 #[derive(Debug, Clone)]
@@ -27,34 +29,32 @@ enum Op {
     Free(usize),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        // Mostly small sizes, some medium, occasional large.
-        4 => (1usize..=256).prop_map(Op::Alloc),
-        2 => (257usize..=4096).prop_map(Op::Alloc),
-        1 => (4097usize..=20_000).prop_map(Op::Alloc),
-        5 => any::<usize>().prop_map(Op::Free),
-    ]
+/// Mostly small sizes, some medium, occasional large; frees pick any
+/// live block.
+fn gen_op(rng: &mut Rng) -> Op {
+    match rng.range(0, 11) {
+        0..=3 => Op::Alloc(rng.range(1, 256)),
+        4..=5 => Op::Alloc(rng.range(257, 4096)),
+        6 => Op::Alloc(rng.range(4097, 20_000)),
+        _ => Op::Free(rng.next_u64() as usize),
+    }
 }
 
-fn config_strategy() -> impl Strategy<Value = HoardConfig> {
-    (
-        prop_oneof![Just(4096usize), Just(8192), Just(16384)],
-        prop_oneof![Just((1usize, 8usize)), Just((1, 4)), Just((1, 2))],
-        0usize..=4,
-        1usize..=8,
+/// A trace of `min..max` ops.
+fn gen_ops(rng: &mut Rng, min: usize, max: usize) -> Vec<Op> {
+    (0..rng.range(min, max - 1)).map(|_| gen_op(rng)).collect()
+}
+
+fn gen_config(rng: &mut Rng) -> HoardConfig {
+    let (num, den) = [(1, 8), (1, 4), (1, 2)][rng.range(0, 2)];
+    HoardConfig::new()
+        .with_superblock_size([4096, 8192, 16384][rng.range(0, 2)])
+        .with_empty_fraction(num, den)
+        .with_slack(rng.range(0, 4))
+        .with_heap_count(rng.range(1, 8))
         // Front-end off, small magazines, and the default capacity: the
         // emptiness invariant must stay provable with blocks parked.
-        prop_oneof![Just(0usize), Just(4), Just(32)],
-    )
-        .prop_map(|(s, (num, den), k, p, mag)| {
-            HoardConfig::new()
-                .with_superblock_size(s)
-                .with_empty_fraction(num, den)
-                .with_slack(k)
-                .with_heap_count(p)
-                .with_magazine_capacity(mag)
-        })
+        .with_magazine_capacity([0, 4, 32][rng.range(0, 2)])
 }
 
 /// Run a trace, checking consistency and the invariant postcondition
@@ -144,133 +144,161 @@ fn run_trace(cfg: HoardConfig, ops: &[Op]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 64, ..ProptestConfig::default()
-    })]
+#[test]
+fn trace_preserves_invariants_default_config() {
+    Rng::for_each_case(CASES, |rng| {
+        run_trace(HoardConfig::new(), &gen_ops(rng, 1, 400));
+    });
+}
 
-    #[test]
-    fn trace_preserves_invariants_default_config(
-        ops in proptest::collection::vec(op_strategy(), 1..400)
-    ) {
-        run_trace(HoardConfig::new(), &ops);
-    }
+#[test]
+fn trace_preserves_invariants_random_config() {
+    Rng::for_each_case(CASES, |rng| {
+        let cfg = gen_config(rng);
+        run_trace(cfg, &gen_ops(rng, 1, 200));
+    });
+}
 
-    #[test]
-    fn trace_preserves_invariants_random_config(
-        cfg in config_strategy(),
-        ops in proptest::collection::vec(op_strategy(), 1..200)
-    ) {
-        run_trace(cfg, &ops);
-    }
+#[test]
+fn trace_preserves_invariants_with_magazines() {
+    Rng::for_each_case(CASES, |rng| {
+        run_trace(HoardConfig::with_default_magazines(), &gen_ops(rng, 1, 400));
+    });
+}
 
-    #[test]
-    fn trace_preserves_invariants_with_magazines(
-        ops in proptest::collection::vec(op_strategy(), 1..400)
-    ) {
-        run_trace(HoardConfig::with_default_magazines(), &ops);
-    }
-
-    #[test]
-    fn blowup_is_bounded_with_magazines(
-        ops in proptest::collection::vec(op_strategy(), 50..400)
-    ) {
-        // Same theorem as `blowup_is_bounded` plus the front-end's
-        // additive term: each magazine slot can park at most
-        // capacity blocks per size class (DESIGN.md §9's O(U + P)
-        // argument). One thread here, so one slot's worth is enough
-        // slack: 24 classes x 32 blocks x the largest magazine-served
-        // class (~553 B).
-        let cfg = HoardConfig::with_default_magazines();
-        let h = HoardAllocator::with_config(cfg).unwrap();
-        let mut live: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Alloc(size) if *size <= cfg.large_threshold() => {
-                    let p = unsafe { h.allocate(*size) }.unwrap();
-                    live.push((p, *size));
-                }
-                Op::Free(raw) if !live.is_empty() => {
-                    let (p, _) = live.swap_remove(raw % live.len());
-                    unsafe { h.deallocate(p) };
-                }
-                _ => {}
+/// Replay the small-object part of `ops` and check the paper's Theorem,
+/// `A(t) = O(U(t) + P·S)`, with `extra` more bytes of additive slack.
+/// Constants: the size-class factor (1.2) times the inverse emptiness
+/// bound (1/(1-f)) covers the multiplicative part generously with 3x;
+/// each heap (incl. global) may hold K+1 superblocks of slack, plus
+/// per-superblock header overhead absorbed by the additive term.
+fn check_blowup(cfg: HoardConfig, ops: &[Op], extra: u64) {
+    let h = HoardAllocator::with_config(cfg).unwrap();
+    let mut live: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
+    for op in ops {
+        match op {
+            Op::Alloc(size) if *size <= cfg.large_threshold() => {
+                let p = unsafe { h.allocate(*size) }.unwrap();
+                live.push((p, *size));
             }
-        }
-        let snap = h.stats();
-        let p_heaps = (cfg.heap_count + 1) as u64;
-        let s = cfg.superblock_size as u64;
-        let magazine_slack = 24 * 32 * 560u64;
-        let bound =
-            3 * snap.live_peak + (cfg.slack_k as u64 + 2) * p_heaps * s + magazine_slack;
-        prop_assert!(
-            snap.held_peak <= bound,
-            "blowup with magazines: held_peak={} live_peak={} bound={}",
-            snap.held_peak, snap.live_peak, bound
-        );
-        for (p, _) in live {
-            unsafe { h.deallocate(p) };
-        }
-        h.flush_frontend();
-        prop_assert_eq!(h.stats().live_current, 0);
-    }
-
-    #[test]
-    fn blowup_is_bounded(
-        ops in proptest::collection::vec(op_strategy(), 50..400)
-    ) {
-        let cfg = HoardConfig::new();
-        let h = HoardAllocator::with_config(cfg).unwrap();
-        let mut live: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Alloc(size) if *size <= cfg.large_threshold() => {
-                    let p = unsafe { h.allocate(*size) }.unwrap();
-                    live.push((p, *size));
-                }
-                Op::Free(raw) if !live.is_empty() => {
-                    let (p, _) = live.swap_remove(raw % live.len());
-                    unsafe { h.deallocate(p) };
-                }
-                _ => {}
+            Op::Free(raw) if !live.is_empty() => {
+                let (p, _) = live.swap_remove(raw % live.len());
+                unsafe { h.deallocate(p) };
             }
-        }
-        let snap = h.stats();
-        // Paper Theorem: A(t) = O(U(t) + P·S). Constants: the size-class
-        // factor (1.2) times the inverse emptiness bound (1/(1-f)) covers
-        // the multiplicative part generously with 3x; each heap (incl.
-        // global) may hold K+1 superblocks of slack, plus per-superblock
-        // header overhead absorbed by the additive term.
-        let p_heaps = (cfg.heap_count + 1) as u64;
-        let s = cfg.superblock_size as u64;
-        let bound = 3 * snap.live_peak + (cfg.slack_k as u64 + 2) * p_heaps * s;
-        prop_assert!(
-            snap.held_peak <= bound,
-            "blowup: held_peak={} live_peak={} bound={}",
-            snap.held_peak, snap.live_peak, bound
-        );
-        for (p, _) in live {
-            unsafe { h.deallocate(p) };
+            _ => {}
         }
     }
+    let snap = h.stats();
+    let p_heaps = (cfg.heap_count + 1) as u64;
+    let s = cfg.superblock_size as u64;
+    let bound = 3 * snap.live_peak + (cfg.slack_k as u64 + 2) * p_heaps * s + extra;
+    assert!(
+        snap.held_peak <= bound,
+        "blowup: held_peak={} live_peak={} bound={}",
+        snap.held_peak,
+        snap.live_peak,
+        bound
+    );
+    for (p, _) in live {
+        unsafe { h.deallocate(p) };
+    }
+    h.flush_frontend();
+    assert_eq!(h.stats().live_current, 0);
+}
 
-    #[test]
-    fn usable_size_covers_request(size in 1usize..=50_000) {
+#[test]
+fn blowup_is_bounded() {
+    Rng::for_each_case(CASES, |rng| {
+        check_blowup(HoardConfig::new(), &gen_ops(rng, 50, 400), 0);
+    });
+}
+
+#[test]
+fn blowup_is_bounded_with_magazines() {
+    // The same theorem plus the front-end's additive term: each
+    // magazine slot can park at most capacity blocks per size class
+    // (DESIGN.md §9's O(U + P) argument). One thread here, so one
+    // slot's worth is enough slack: 24 classes x 32 blocks x the
+    // largest magazine-served class (~553 B).
+    Rng::for_each_case(CASES, |rng| {
+        let ops = gen_ops(rng, 50, 400);
+        check_blowup(HoardConfig::with_default_magazines(), &ops, 24 * 32 * 560);
+    });
+}
+
+#[test]
+fn usable_size_covers_request() {
+    Rng::for_each_case(CASES, |rng| {
+        let size = rng.range(1, 50_000);
         let h = HoardAllocator::new_default();
         unsafe {
             let p = h.allocate(size).unwrap();
-            prop_assert!(h.usable_size(p) >= size);
             // Rounding is bounded: at most the 1.2 class factor + 8,
             // except in the sub-128 linear region (absolute +8).
             let usable = h.usable_size(p);
+            assert!(usable >= size);
             if size > h.config().large_threshold() {
-                prop_assert_eq!(usable, size);
+                assert_eq!(usable, size);
             } else {
-                prop_assert!(usable <= size * 6 / 5 + 8);
+                assert!(usable <= size * 6 / 5 + 8);
             }
             h.deallocate(p);
         }
-    }
+    });
+}
+
+/// Two traces that once failed, shrunk and kept as fixed inputs.
+#[test]
+fn shrunk_mixed_size_trace_preserves_invariants() {
+    use Op::{Alloc, Free};
+    #[rustfmt::skip]
+    let ops = [
+        Alloc(139), Alloc(79), Free(132550389768223347), Alloc(607), Alloc(3281), Alloc(14792),
+        Free(5098981842140094925), Alloc(2198), Free(3133386258224989400), Alloc(113),
+        Alloc(4031), Free(7400786692029868178), Alloc(177), Alloc(3697), Alloc(2129),
+        Alloc(236), Alloc(47), Alloc(195), Alloc(103), Alloc(534), Alloc(1384),
+        Free(15306508146787784693), Free(13160789358179673764), Free(14242411603458746117),
+        Free(16809841275878905700), Free(10719742183829749491), Alloc(208), Alloc(2079),
+        Free(16493982666943684019), Free(16459895485665473294), Alloc(177), Alloc(35),
+        Alloc(950), Free(5371120883543688807), Alloc(1620), Alloc(54), Alloc(132), Alloc(125),
+        Free(17659587974682062347), Alloc(3039), Free(7311537367697767743), Alloc(1551),
+        Alloc(16835), Alloc(3444), Alloc(2582), Free(7766738856465548193),
+        Free(13319687665075105457), Alloc(27), Alloc(47), Free(3684884525354687445),
+        Free(14478507460947029870), Free(2160946910886668428), Free(2596710135065387557),
+        Free(3528870112711394136), Alloc(127), Alloc(211), Free(1677894312354424996),
+        Alloc(1715), Alloc(212), Alloc(176), Alloc(1042), Free(5861721588356130431),
+        Free(10874100067182328655), Free(11056442081415956558), Free(12038081726555276305),
+        Alloc(18786), Free(5352129411177308322), Free(12236504285946343961),
+        Free(3296109168227995347), Alloc(24), Alloc(31), Alloc(151), Alloc(12582),
+        Free(468215198831004829), Alloc(10),
+    ];
+    run_trace(HoardConfig::new(), &ops);
+    run_trace(HoardConfig::with_default_magazines(), &ops);
+}
+
+#[test]
+fn shrunk_zero_slack_single_heap_trace_preserves_invariants() {
+    use Op::{Alloc, Free};
+    let cfg = HoardConfig::new()
+        .with_superblock_size(8192)
+        .with_empty_fraction(1, 2)
+        .with_slack(0)
+        .with_heap_count(1);
+    #[rustfmt::skip]
+    let ops = [
+        Alloc(1), Alloc(1), Alloc(1), Alloc(1), Free(0), Free(35975472783383849), Alloc(199),
+        Alloc(4049), Alloc(825), Free(16581188910829224525), Alloc(75), Alloc(821), Alloc(154),
+        Alloc(2), Free(2693161170787745041), Alloc(4996), Free(16105122483210055881),
+        Free(9436094879178576597), Alloc(146), Free(1024790931380453937),
+        Free(12401636919656850015), Free(10812428001597948881), Free(14611914759958136995),
+        Free(9721255189199592211), Alloc(35), Alloc(13307), Alloc(138),
+        Free(792200726798317816), Free(15933471406970649884), Alloc(3783), Alloc(43),
+        Alloc(2701), Free(17859320636369945273), Alloc(18631), Alloc(3755), Alloc(246),
+        Alloc(63), Free(9881504889978048509), Alloc(1), Alloc(139), Alloc(15329),
+        Free(4021416315261018708), Alloc(17149), Alloc(2197), Free(15492996838433885801),
+        Alloc(4045), Alloc(221), Free(15409699931080064955), Free(14343851521693653969),
+    ];
+    run_trace(cfg, &ops);
 }
 
 #[test]

@@ -165,7 +165,7 @@ fn deferred_remote_frees_drain_back_to_the_owner() {
     // stack (remote_pushes) and are recovered by the producer's refills
     // (remote_drains); nothing is lost at quiescence.
     let h = Arc::new(mag_on());
-    let (tx, rx) = crossbeam::channel::bounded::<Payload>(256);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Payload>(256);
     let producer = {
         let h = Arc::clone(&h);
         std::thread::spawn(move || {
@@ -206,7 +206,10 @@ fn owner_migration_retry_loses_no_blocks() {
     // eligible), others free its blocks remotely.
     let cfg = HoardConfig::new().with_slack(0).with_magazine_capacity(8);
     let h = Arc::new(HoardAllocator::with_config(cfg).unwrap());
-    let (tx, rx) = crossbeam::channel::bounded::<Payload>(64);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Payload>(64);
+    // std's receiver is single-consumer: the freers take turns waiting
+    // on it, and free with the lock released.
+    let rx = Arc::new(std::sync::Mutex::new(rx));
     let churner = {
         let h = Arc::clone(&h);
         std::thread::spawn(move || {
@@ -233,9 +236,10 @@ fn owner_migration_retry_loses_no_blocks() {
     let remote_freers: Vec<_> = (0..3)
         .map(|_| {
             let h = Arc::clone(&h);
-            let rx = rx.clone();
+            let rx = Arc::clone(&rx);
             std::thread::spawn(move || {
-                while let Ok(p) = rx.recv() {
+                let next = || rx.lock().unwrap().recv();
+                while let Ok(p) = next() {
                     unsafe { h.deallocate(NonNull::new_unchecked(p.0 as *mut u8)) };
                 }
             })
@@ -263,7 +267,7 @@ fn refill_survives_a_drain_that_empties_the_superblock() {
     // frees *everything* the other allocated, so refill-time drains
     // routinely empty superblocks.
     let h = Arc::new(mag_on());
-    let (tx, rx) = crossbeam::channel::bounded::<Vec<Payload>>(4);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<Payload>>(4);
     let alloc_side = {
         let h = Arc::clone(&h);
         std::thread::spawn(move || {

@@ -40,8 +40,8 @@ fn free(h: &HoardAllocator, p: Payload) {
 fn worker(
     h: &HoardAllocator,
     me: usize,
-    inbox: crossbeam::channel::Receiver<Payload>,
-    peers: Vec<crossbeam::channel::Sender<Payload>>,
+    inbox: std::sync::mpsc::Receiver<Payload>,
+    peers: Vec<std::sync::mpsc::Sender<Payload>>,
     start: &Barrier,
 ) {
     hoard_sim::switch_context(PROCS[me], 0);
@@ -85,7 +85,7 @@ fn collide(cfg: HoardConfig) {
 
     let (txs, rxs): (Vec<_>, Vec<_>) = PROCS
         .iter()
-        .map(|_| crossbeam::channel::unbounded::<Payload>())
+        .map(|_| std::sync::mpsc::channel::<Payload>())
         .unzip();
     let start = Barrier::new(PROCS.len() + 2);
     let done = AtomicBool::new(false);

@@ -7,7 +7,7 @@
 //!
 //! Three sections:
 //!
-//! 1. **Lock bypass** — the `alloc_micro` hot-path patterns (pair
+//! 1. **Lock bypass** — the single-thread hot-path patterns (pair
 //!    churn, batch churn) run against plain Hoard and the magazine
 //!    variant, reporting heap-lock acquisitions per allocator operation.
 //!    The front-end's contract is that ≥ 90 % of small allocations
@@ -63,7 +63,7 @@ fn pair_churn(h: &HoardAllocator, size: usize, ops: u64) {
 }
 
 /// Run batch churn: allocate `batch`, then free them all, `ops / batch`
-/// times (the LIFO pattern of `alloc_micro`'s `micro_batch_churn`).
+/// times (LIFO).
 fn batch_churn(h: &HoardAllocator, size: usize, ops: u64) {
     const BATCH: usize = 100;
     let mut ptrs = Vec::with_capacity(BATCH);
@@ -80,7 +80,7 @@ fn batch_churn(h: &HoardAllocator, size: usize, ops: u64) {
 fn lock_bypass_table(scale: u64) -> Table {
     let mut t = Table::new(
         "mag-locks",
-        "MAGBENCH: heap-lock traffic on the alloc_micro hot paths",
+        "MAGBENCH: heap-lock traffic on the single-thread hot paths",
         vec![
             "pattern".into(),
             "allocator".into(),

@@ -4,10 +4,9 @@ use crate::factory::AllocatorKind;
 use crate::table::Table;
 use hoard_mem::MtAllocator;
 use hoard_workloads::WorkloadResult;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of a speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
     /// Virtual processors.
     pub threads: usize,
@@ -18,7 +17,7 @@ pub struct SpeedupPoint {
 }
 
 /// A full curve for one allocator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupSeries {
     /// Allocator label.
     pub allocator: String,

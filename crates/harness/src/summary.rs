@@ -3,10 +3,9 @@
 //! — the machinery behind `reproduce report`.
 
 use crate::table::Table;
-use serde::{Deserialize, Serialize};
 
 /// Qualitative shape of one allocator's speedup curve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
     /// ≥ 60% parallel efficiency at the largest processor count.
     Scales,
@@ -27,7 +26,7 @@ impl std::fmt::Display for Shape {
 }
 
 /// Summary of one allocator's curve within one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CurveSummary {
     /// Allocator label (table column).
     pub allocator: String,

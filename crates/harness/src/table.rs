@@ -1,9 +1,7 @@
 //! Minimal table model with aligned ASCII rendering and CSV export.
 
-use serde::{Deserialize, Serialize};
-
 /// A rendered experiment result: header, aligned rows, footnotes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     /// Experiment id (`e2`) this table belongs to.
     pub id: String,
@@ -157,12 +155,5 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn row_width_checked() {
         sample().push_row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = sample();
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(serde_json::from_str::<Table>(&json).unwrap(), t);
     }
 }

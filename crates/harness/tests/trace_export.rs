@@ -41,8 +41,8 @@ fn traced_larson_exports_valid_chrome_trace_and_hoardscope_reports_it() {
         assert!(log.count(kind) > 0, "no {} events traced", kind.label());
     }
 
-    // Chrome trace_event schema: parse with the same hand-rolled JSON
-    // layer the exporter uses (the dev image's serde_json is a stub).
+    // Chrome trace_event schema: parse with the same JSON layer the
+    // exporter uses.
     let chrome = chrome_trace_json(log);
     let root = JsonValue::parse(&chrome).expect("well-formed JSON");
     let events = root

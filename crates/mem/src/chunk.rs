@@ -16,7 +16,6 @@
 
 use crate::stats::peak_max;
 use hoard_sim::{charge_cost, Cost};
-use serde::{Deserialize, Serialize};
 use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -71,7 +70,7 @@ unsafe impl<S: ChunkSource> ChunkSource for &S {
 }
 
 /// Point-in-time accounting of a [`ChunkSource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceStats {
     /// Bytes currently held from the OS.
     pub held_current: u64,
@@ -332,17 +331,5 @@ mod tests {
             s.free_chunk(a, l);
             s.free_chunk(b, l);
         }
-    }
-
-    #[test]
-    fn source_stats_serialize() {
-        let st = SourceStats {
-            held_current: 1,
-            held_peak: 2,
-            chunk_allocs: 3,
-            chunk_frees: 4,
-        };
-        let s = serde_json::to_string(&st).unwrap();
-        assert_eq!(serde_json::from_str::<SourceStats>(&s).unwrap(), st);
     }
 }

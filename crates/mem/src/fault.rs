@@ -13,6 +13,7 @@
 //! replayed exactly.
 
 use crate::chunk::{ChunkSource, SourceStats};
+use hoard_sim::Rng;
 use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,22 +63,12 @@ impl FaultPlan {
                 index % n.max(1) == n.max(1) - 1
             }
             FaultPlan::Probability { p_permille, seed } => {
-                splitmix64(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000
-                    < p_permille as u64
+                Rng::new(seed, index as usize).next_u64() % 1000 < p_permille as u64
             }
             FaultPlan::Burst { start, len } => index >= start && index - start < len,
             FaultPlan::TransientThenRecover { fail_first } => index < fail_first,
         }
     }
-}
-
-/// splitmix64: a tiny, high-quality mixing function (public domain,
-/// Vigna). Good enough to decorrelate call indices; not a CSPRNG.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A [`ChunkSource`] decorator that fails `alloc_chunk` calls according

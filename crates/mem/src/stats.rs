@@ -27,7 +27,6 @@
 //! magazines, at most the magazines' capacity above it with them.
 
 use hoard_sim::{single_writer_add, single_writer_sub};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone `fetch_max` for high-water marks on a relaxed atomic.
@@ -311,9 +310,9 @@ impl AllocStats {
     }
 }
 
-/// Serializable snapshot of an allocator's counters, optionally enriched
+/// Snapshot of an allocator's counters, optionally enriched
 /// with the backing [`SourceStats`](crate::SourceStats) (`held_*`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocSnapshot {
     /// Bytes in use by the program (`U(t)`): exact at quiescence; under
     /// traffic a difference of values read at different instants,
@@ -340,13 +339,12 @@ pub struct AllocSnapshot {
     pub held_peak: u64,
     /// Thread-local front-end counters (all zero unless the allocator
     /// runs with `magazine_capacity > 0`).
-    #[serde(default)]
     pub magazines: MagazineStats,
 }
 
 /// Counters for the thread-local magazine front-end and the deferred
 /// remote-free protocol. All zero when the front-end is disabled.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MagazineStats {
     /// Allocations served from a magazine without touching any lock.
     pub alloc_hits: u64,

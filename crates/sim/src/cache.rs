@@ -625,19 +625,6 @@ mod tests {
         assert!(!page.shared_beyond(6, 0), "neighbouring lines untouched");
     }
 
-    /// SplitMix64: a seeded stream for the model check below.
-    struct Stream(u64);
-
-    impl Stream {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-    }
-
     /// One call into a cache model from virtual processor `proc`.
     #[derive(Debug, Clone, Copy)]
     enum Call {
@@ -675,23 +662,24 @@ mod tests {
         let mut arena = vec![0u8; (PAGES + 1) * PAGE];
         let base = arena.as_mut_ptr() as usize;
         let base = base + (PAGE - base % PAGE) % PAGE;
-        let mut rng = Stream(seed);
+        let mut rng = crate::Rng::new(seed, 0);
+        let mut below = |n: usize| rng.range(0, n - 1);
         // Live registrations: (offset, len, registering processor).
         let mut blocks: Vec<(usize, usize, usize)> = Vec::new();
 
         let mut seen = (false, false);
         crate::sequential_scope(PROCS, || {
             for step in 0..6_000 {
-                let proc = rng.below(PROCS);
+                let proc = below(PROCS);
                 // Mostly object-sized ranges at any byte offset (so they
                 // start mid-line), some spanning a page or more.
-                let mut len = match rng.below(8) {
-                    0 => 1 + rng.below(2 * PAGE),
+                let mut len = match below(8) {
+                    0 => 1 + below(2 * PAGE),
                     1 => 0,
-                    _ => 1 + rng.below(3 * LINE),
+                    _ => 1 + below(3 * LINE),
                 };
-                let mut off = rng.below(PAGES * PAGE - len);
-                let call = match rng.below(100) {
+                let mut off = below(PAGES * PAGE - len);
+                let call = match below(100) {
                     roll @ 0..=44 => Call::Touch {
                         write: roll % 3 != 0,
                     },
@@ -702,7 +690,7 @@ mod tests {
                     65..=84 if !blocks.is_empty() => {
                         // Any processor frees; the owner is whoever
                         // registered the block.
-                        let i = rng.below(blocks.len());
+                        let i = below(blocks.len());
                         let owner;
                         (off, len, owner) = blocks.swap_remove(i);
                         Call::Unregister { owner }
@@ -714,7 +702,7 @@ mod tests {
                         // ranges touched earlier and may cover a page
                         // nothing ever touched.
                         off = off / PAGE * PAGE;
-                        len = PAGE * (1 + rng.below(2)).min(PAGES - off / PAGE);
+                        len = PAGE * (1 + below(2)).min(PAGES - off / PAGE);
                         Call::ChunkAcquired
                     }
                     _ => {

@@ -1,38 +1,32 @@
 //! Virtual-time-aware message channel.
 //!
-//! Wraps a `crossbeam` channel so that a receive never appears to happen
-//! *before* (in virtual time) the corresponding send: each message
+//! Wraps a `std::sync::mpsc` channel so that a receive never appears to
+//! happen *before* (in virtual time) the corresponding send: each message
 //! carries the sender's virtual timestamp, and the receiver's clock is
 //! advanced to `send_time + ChannelTransfer`. Used by the Larson and
 //! producer–consumer workloads, where objects are bled across threads.
 
 use crate::clock;
 use crate::cost::{self, Cost};
-use crossbeam::channel as cb;
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 /// Sending half of a virtual-time channel.
 #[derive(Debug, Clone)]
 pub struct VSender<T> {
-    inner: cb::Sender<(T, u64)>,
+    inner: mpsc::Sender<(T, u64)>,
 }
 
-/// Receiving half of a virtual-time channel.
+/// Receiving half of a virtual-time channel. Clones drain the same
+/// queue: each message goes to exactly one of them.
 #[derive(Debug, Clone)]
 pub struct VReceiver<T> {
-    inner: cb::Receiver<(T, u64)>,
+    inner: Arc<Mutex<mpsc::Receiver<(T, u64)>>>,
 }
 
 /// Create an unbounded virtual-time channel.
 pub fn vchannel<T>() -> (VSender<T>, VReceiver<T>) {
-    let (tx, rx) = cb::unbounded();
-    (VSender { inner: tx }, VReceiver { inner: rx })
-}
-
-/// Create a bounded virtual-time channel with real backpressure: a send
-/// into a full channel blocks (marked as Blocked for the ordering gate)
-/// until a receiver drains a slot.
-pub fn vchannel_bounded<T>(cap: usize) -> (VSender<T>, VReceiver<T>) {
-    let (tx, rx) = cb::bounded(cap);
+    let (tx, rx) = mpsc::channel();
+    let rx = Arc::new(Mutex::new(rx));
     (VSender { inner: tx }, VReceiver { inner: rx })
 }
 
@@ -44,13 +38,19 @@ impl<T> VSender<T> {
     /// Returns the value back if the receiving side has disconnected.
     pub fn send(&self, value: T) -> Result<(), T> {
         let stamp = clock::now();
-        // Bounded channels block when full: excluded from gate minima.
-        crate::gate::while_blocked(|| self.inner.send((value, stamp)))
-            .map_err(|e| e.into_inner().0)
+        self.inner
+            .send((value, stamp))
+            .map_err(|mpsc::SendError((value, _))| value)
     }
 }
 
 impl<T> VReceiver<T> {
+    /// The queue all clones share. No caller code runs under the lock, so
+    /// a poisoned one still guards an intact queue.
+    fn queue(&self) -> MutexGuard<'_, mpsc::Receiver<(T, u64)>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Receive a message, blocking in real time if necessary, and advance
     /// the receiver's virtual clock past the send time plus the transfer
     /// cost.
@@ -60,10 +60,11 @@ impl<T> VReceiver<T> {
     /// Returns an error if the channel is empty and all senders have
     /// disconnected.
     pub fn recv(&self) -> Result<T, RecvClosed> {
-        // A receiver blocked on an empty channel is excluded from the
-        // ordering gate's minimum (its clock advances only via the send).
+        // A receiver blocked on an empty channel (or behind a clone that
+        // is) is excluded from the ordering gate's minimum: its clock
+        // advances only via the send.
         let (value, send_time) =
-            crate::gate::while_blocked(|| self.inner.recv()).map_err(|_| RecvClosed)?;
+            crate::gate::while_blocked(|| self.queue().recv()).map_err(|_| RecvClosed)?;
         clock::set_clock(send_time + cost::get(Cost::ChannelTransfer));
         Ok(value)
     }
@@ -76,13 +77,13 @@ impl<T> VReceiver<T> {
     /// Returns an error if the channel is empty and all senders have
     /// disconnected.
     pub fn try_recv(&self) -> Result<Option<T>, RecvClosed> {
-        match self.inner.try_recv() {
+        match self.queue().try_recv() {
             Ok((value, send_time)) => {
                 clock::set_clock(send_time + cost::get(Cost::ChannelTransfer));
                 Ok(Some(value))
             }
-            Err(cb::TryRecvError::Empty) => Ok(None),
-            Err(cb::TryRecvError::Disconnected) => Err(RecvClosed),
+            Err(mpsc::TryRecvError::Empty) => Ok(None),
+            Err(mpsc::TryRecvError::Disconnected) => Err(RecvClosed),
         }
     }
 }
@@ -139,6 +140,43 @@ mod tests {
         drop(tx);
         assert_eq!(rx.try_recv(), Err(RecvClosed));
         assert_eq!(rx.recv(), Err(RecvClosed));
+    }
+
+    #[test]
+    fn cloned_receivers_drain_one_queue_exactly_once() {
+        const MESSAGES: u64 = 2_000;
+        let _model = cost::TEST_MODEL_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let transfer = cost::get(Cost::ChannelTransfer);
+        let (tx, rx) = vchannel::<u64>();
+        let consumers: Vec<_> = (0..2)
+            .map(|_| {
+                let rx = rx.clone();
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while let Ok(v) = rx.recv() {
+                        // Sent at 1000 * (v + 1), later than anything
+                        // this consumer took before it.
+                        assert_eq!(now(), 1_000 * (v + 1) + transfer);
+                        got.push(v);
+                    }
+                    assert_eq!(rx.try_recv(), Err(RecvClosed));
+                    got
+                })
+            })
+            .collect();
+        for v in 0..MESSAGES {
+            crate::set_clock(1_000 * (v + 1));
+            tx.send(v).unwrap();
+        }
+        drop(tx);
+        let mut all: Vec<u64> = consumers
+            .into_iter()
+            .flat_map(|c| c.join().expect("consumer panicked"))
+            .collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..MESSAGES).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! them with a single relaxed load and experiments can install a custom
 //! [`CostModel`] without locking.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A named cost in the virtual-machine model.
@@ -116,7 +115,7 @@ fn index(cost: Cost) -> usize {
 }
 
 /// A complete assignment of costs, installable as the global model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     pub malloc_fast: u64,
     pub free_fast: u64,
@@ -130,19 +129,12 @@ pub struct CostModel {
     pub superblock_transfer: u64,
     pub channel_transfer: u64,
     pub barrier: u64,
-    #[serde(default)]
     pub magazine_op: u64,
-    #[serde(default)]
     pub remote_free_push: u64,
-    #[serde(default)]
     pub trace_event: u64,
-    #[serde(default)]
     pub atomic_rmw: u64,
-    #[serde(default)]
     pub mask_lookup: u64,
-    #[serde(default)]
     pub tune_tick: u64,
-    #[serde(default)]
     pub profile_sample: u64,
 }
 

@@ -53,11 +53,12 @@ mod cost;
 mod gate;
 mod machine;
 mod report;
+mod rng;
 mod vbarrier;
 mod vlock;
 
 pub use cache::CacheModel;
-pub use channel::{vchannel, vchannel_bounded, VReceiver, VSender};
+pub use channel::{vchannel, VReceiver, VSender};
 pub use clock::{
     charge, current_alloc_site, current_proc, has_proc, now, set_alloc_site, set_clock,
     switch_context, VirtualClock,
@@ -65,6 +66,7 @@ pub use clock::{
 pub use cost::{Cost, CostModel};
 pub use machine::{sequential_scope, Machine};
 pub use report::RunReport;
+pub use rng::Rng;
 pub use vbarrier::VBarrier;
 pub use vlock::{single_writer_add, single_writer_sub, VLock, VLockGuard};
 

@@ -1,9 +1,7 @@
 //! Results of one simulated machine run.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-run virtual-time results returned by [`crate::Machine::run`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunReport {
     per_processor: Vec<u64>,
 }
@@ -75,13 +73,5 @@ mod tests {
         assert_eq!(RunReport::new(vec![]).makespan(), 0);
         assert!((RunReport::new(vec![]).imbalance() - 1.0).abs() < 1e-9);
         assert!((RunReport::new(vec![0, 0]).imbalance() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn serializes_to_json() {
-        let r = RunReport::new(vec![1, 2]);
-        let s = serde_json::to_string(&r).unwrap();
-        let back: RunReport = serde_json::from_str(&s).unwrap();
-        assert_eq!(back, r);
     }
 }

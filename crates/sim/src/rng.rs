@@ -1,16 +1,17 @@
-//! A tiny deterministic PRNG (SplitMix64-seeded xorshift*), so every
-//! workload run is reproducible given `(seed, processor id)` without
-//! external crates' feature flags.
+//! A tiny deterministic PRNG (SplitMix64-seeded xorshift*): every
+//! workload run, injected fault and generated test case is reproducible
+//! given `(seed, stream)`.
 
-/// Deterministic 64-bit PRNG for workload generators.
+/// Deterministic 64-bit PRNG for workload generators and seeded tests.
 #[derive(Debug, Clone)]
-pub(crate) struct Rng {
+pub struct Rng {
     state: u64,
 }
 
 impl Rng {
-    /// Seed from a workload seed and the processor id.
-    pub(crate) fn new(seed: u64, proc_id: usize) -> Self {
+    /// Seed from a workload seed and the processor id (or any other
+    /// stream index: nearby pairs give unrelated streams).
+    pub fn new(seed: u64, proc_id: usize) -> Self {
         // SplitMix64 step to decorrelate nearby seeds.
         let mut z = seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15)
@@ -22,7 +23,9 @@ impl Rng {
         }
     }
 
-    pub(crate) fn next_u64(&mut self) -> u64 {
+    /// The next 64 uniform bits.
+    #[inline]
+    pub fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x >> 12;
         x ^= x << 25;
@@ -32,9 +35,27 @@ impl Rng {
     }
 
     /// Uniform value in `[lo, hi]` (inclusive).
-    pub(crate) fn range(&mut self, lo: usize, hi: usize) -> usize {
+    #[inline]
+    pub fn range(&mut self, lo: usize, hi: usize) -> usize {
         debug_assert!(lo <= hi);
         lo + (self.next_u64() as usize) % (hi - lo + 1)
+    }
+
+    /// Run `body` once per seed in `0..cases`, each on a fresh generator.
+    /// A case that panics is re-raised naming its seed, which reproduces
+    /// it alone: `body(&mut Rng::new(seed, 0))`.
+    pub fn for_each_case(cases: u64, body: impl Fn(&mut Rng)) {
+        for seed in 0..cases {
+            let case = std::panic::AssertUnwindSafe(|| body(&mut Rng::new(seed, 0)));
+            if let Err(cause) = std::panic::catch_unwind(case) {
+                let cause = cause
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| cause.downcast_ref::<&str>().copied())
+                    .unwrap_or("(panic payload is not a string)");
+                panic!("case seed {seed} of {cases} failed: {cause}");
+            }
+        }
     }
 }
 
@@ -58,6 +79,15 @@ mod tests {
             (0..10).map(|_| r.next_u64()).collect()
         };
         assert_ne!(a, c, "different procs get different streams");
+    }
+
+    #[test]
+    #[should_panic(expected = "case seed 3 of 5 failed")]
+    fn a_failing_case_names_its_seed() {
+        let fourth = Rng::new(3, 0).next_u64();
+        Rng::for_each_case(5, |rng| {
+            assert_ne!(rng.next_u64(), fourth);
+        });
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! produce byte-identical traces even though the OS hands their chunks
 //! out at different addresses.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened. The `arg0`/`arg1` documentation on each variant is
 /// the schema for [`Event`]'s payload fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Small allocation served under the heap lock.
     /// `arg0` = size class, `arg1` = block size in bytes.
@@ -188,7 +186,7 @@ impl EventKind {
 /// One recorded occurrence: virtual timestamp plus the kind's payload.
 /// The emitting virtual processor is implied by the track the event sits
 /// in (see [`crate::TraceLog`]), keeping the record at 24 bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Virtual-clock instant (`hoard_sim::now()`) at emission.
     pub ts: u64,

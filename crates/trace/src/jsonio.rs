@@ -2,13 +2,10 @@
 //!
 //! The trace and metrics exports are *artifacts* — the golden-trace
 //! test byte-compares them and `hoardscope`/Perfetto parse them — so
-//! their encoding must be fully deterministic and cannot depend on a
-//! particular serde backend being present (the workspace builds against
-//! stub third-party crates in offline dev environments). This module
-//! is a minimal, dependency-free JSON value model with a writer that
-//! preserves insertion order and a recursive-descent parser; the
-//! public telemetry types keep their serde derives for interop, but
-//! every format this crate itself reads or writes goes through here.
+//! their encoding must be fully deterministic. This module is a
+//! minimal, dependency-free JSON value model with a writer that
+//! preserves insertion order and a recursive-descent parser; every
+//! JSON format the workspace reads or writes goes through here.
 
 use std::fmt::Write as _;
 

@@ -5,10 +5,9 @@
 
 use crate::event::{Event, EventKind};
 use crate::jsonio::{obj, JsonValue};
-use serde::{Deserialize, Serialize};
 
 /// Events recorded by one virtual processor, in emission order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackLog {
     /// The virtual processor (`hoard_sim::current_proc()`) that emitted
     /// these events. Machine workers are `0..P`.
@@ -18,7 +17,7 @@ pub struct TrackLog {
 }
 
 /// A complete collected trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceLog {
     /// Non-empty tracks, sorted by processor id.
     pub tracks: Vec<TrackLog>,

@@ -15,7 +15,6 @@
 //! a run.
 
 use crate::jsonio::{obj, JsonValue};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Power-of-two histogram buckets: bucket 0 holds zeros, bucket *i*
@@ -77,7 +76,7 @@ impl Default for Histogram {
 }
 
 /// Serializable copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Per-bucket counts (see [`HISTOGRAM_BUCKETS`] for the layout).
     pub buckets: Vec<u64>,
@@ -396,7 +395,7 @@ impl MetricsRegistry {
 }
 
 /// One size class's counters within one heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassMetrics {
     /// Size-class index.
     pub class: usize,
@@ -438,7 +437,7 @@ impl ClassMetrics {
 }
 
 /// One heap's counters and its per-class breakdown.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapMetrics {
     /// Heap index (0 = global heap).
     pub heap: usize,
@@ -479,7 +478,7 @@ impl HeapMetrics {
 
 /// Hardening visibility: corruption and OOM-recovery totals, surfaced
 /// so harness summaries see them without installing a corruption hook.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HardeningMetrics {
     /// Corrupt operations detected and rejected (`CorruptionLog::total`).
     pub corruption_reports: u64,
@@ -509,7 +508,7 @@ impl HardeningMetrics {
 /// when it fills, an overflow latch trips and `contains` degrades to
 /// header-only validation (ROADMAP's "degraded mode deserves a
 /// gauge"). These are absolute gauges sampled at snapshot time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegistryMetrics {
     /// Live entries in the registry (tombstones excluded).
     pub occupancy: u64,
@@ -566,7 +565,7 @@ impl ClassTotals {
 }
 
 /// Serializable point-in-time copy of a [`MetricsRegistry`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Heaps with any recorded activity, ascending by index.
     pub heaps: Vec<HeapMetrics>,

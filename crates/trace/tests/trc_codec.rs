@@ -1,89 +1,105 @@
-// The stub ProptestConfig used offline has only the fields we set, which
-// makes `..default()` a needless_update under clippy; keep it for real proptest.
-#![allow(clippy::needless_update)]
-
 //! Property tests for the `.trc` wire format: encode→decode identity
 //! over randomized record streams, and corruption/truncation rejection
 //! with typed errors — the codec-level half of the pipeline's
 //! determinism contract (the replay half lives in `hoard-workloads`).
 
+use hoard_sim::Rng;
 use hoard_trace::{TrcError, TrcOp, TrcRecord, TrcTrace};
-use proptest::prelude::*;
 
-fn op_strategy() -> impl Strategy<Value = TrcOp> {
-    prop_oneof![
-        4 => (any::<u64>(), any::<u32>(), any::<u32>())
-            .prop_map(|(token, size, site)| TrcOp::Alloc { token, size, site }),
-        3 => any::<u64>().prop_map(|token| TrcOp::Free { token }),
-        1 => (any::<u64>(), 0u32..64).prop_map(|(token, to)| TrcOp::Send { token, to }),
-        2 => any::<u32>().prop_map(|units| TrcOp::Work { units }),
-    ]
-}
+/// Generated traces per property; a failure names the seed that
+/// reproduces it.
+const CASES: u64 = 64;
 
-fn record_strategy() -> impl Strategy<Value = TrcRecord> {
-    (any::<u64>(), op_strategy()).prop_map(|(dt, op)| TrcRecord { dt, op })
-}
-
-fn trace_strategy() -> impl Strategy<Value = TrcTrace> {
-    (
-        any::<u64>(),
-        prop_oneof![
-            Just(String::new()),
-            Just("larson P=4 hoard-mag".to_string()),
-            Just("服务器 traffic ×".to_string()),
-        ],
-        proptest::collection::vec(
-            proptest::collection::vec(record_strategy(), 0..40),
-            1..5,
-        ),
-    )
-        .prop_map(|(seed, config, streams)| TrcTrace {
-            seed,
-            config,
-            streams,
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    #[test]
-    fn encode_decode_is_identity(trace in trace_strategy()) {
-        let bytes = trace.encode();
-        let back = TrcTrace::decode(&bytes).expect("own encoding decodes");
-        prop_assert_eq!(back, trace);
+fn gen_op(rng: &mut Rng) -> TrcOp {
+    let token = rng.next_u64();
+    match rng.range(0, 9) {
+        0..=3 => TrcOp::Alloc {
+            token,
+            size: rng.next_u64() as u32,
+            site: rng.next_u64() as u32,
+        },
+        4..=6 => TrcOp::Free { token },
+        7 => TrcOp::Send {
+            token,
+            to: rng.range(0, 63) as u32,
+        },
+        _ => TrcOp::Work {
+            units: rng.next_u64() as u32,
+        },
     }
+}
 
-    #[test]
-    fn encoding_is_a_pure_function(trace in trace_strategy()) {
-        prop_assert_eq!(trace.encode(), trace.encode());
+/// One to four streams of up to 39 records each.
+fn gen_trace(rng: &mut Rng) -> TrcTrace {
+    let config = ["", "larson P=4 hoard-mag", "服务器 traffic ×"][rng.range(0, 2)];
+    TrcTrace {
+        seed: rng.next_u64(),
+        config: config.to_string(),
+        streams: (0..rng.range(1, 4))
+            .map(|_| {
+                (0..rng.range(0, 39))
+                    .map(|_| TrcRecord {
+                        dt: rng.next_u64(),
+                        op: gen_op(rng),
+                    })
+                    .collect()
+            })
+            .collect(),
     }
+}
 
-    #[test]
-    fn every_single_byte_flip_is_rejected(trace in trace_strategy(), flip in any::<u64>()) {
-        let mut bytes = trace.encode();
+#[test]
+fn encode_decode_is_identity() {
+    Rng::for_each_case(CASES, |rng| {
+        let trace = gen_trace(rng);
+        let back = TrcTrace::decode(&trace.encode()).expect("own encoding decodes");
+        assert_eq!(back, trace);
+    });
+}
+
+#[test]
+fn encoding_is_a_pure_function() {
+    Rng::for_each_case(CASES, |rng| {
+        let trace = gen_trace(rng);
+        assert_eq!(trace.encode(), trace.encode());
+    });
+}
+
+#[test]
+fn every_single_byte_flip_is_rejected() {
+    Rng::for_each_case(CASES, |rng| {
+        let mut bytes = gen_trace(rng).encode();
+        let flip = rng.next_u64();
         let i = (flip % bytes.len() as u64) as usize;
         let bit = 1u8 << (flip % 8);
         bytes[i] ^= bit;
         // FNV-1a chains bijective per-byte steps, so one flipped payload
         // byte always moves the checksum; flips inside the stored
         // checksum mismatch trivially; flips in the magic are typed.
-        prop_assert!(
+        assert!(
             TrcTrace::decode(&bytes).is_err(),
-            "flip of bit {} at byte {}/{} was accepted", flip % 8, i, bytes.len()
+            "flip of bit {} at byte {}/{} was accepted",
+            flip % 8,
+            i,
+            bytes.len()
         );
-    }
+    });
+}
 
-    #[test]
-    fn every_truncation_is_rejected(trace in trace_strategy(), cut in any::<u64>()) {
-        let bytes = trace.encode();
-        let n = (cut % bytes.len() as u64) as usize;
+#[test]
+fn every_truncation_is_rejected() {
+    Rng::for_each_case(CASES, |rng| {
+        let bytes = gen_trace(rng).encode();
+        let n = rng.range(0, bytes.len() - 1);
         let err = TrcTrace::decode(&bytes[..n]).expect_err("prefix accepted");
-        prop_assert!(
-            matches!(err, TrcError::Truncated(_) | TrcError::ChecksumMismatch { .. }),
-            "prefix {}: unexpected error {:?}", n, err
+        assert!(
+            matches!(
+                err,
+                TrcError::Truncated(_) | TrcError::ChecksumMismatch { .. }
+            ),
+            "prefix {n}: unexpected error {err:?}"
         );
-    }
+    });
 }
 
 #[test]

@@ -12,10 +12,9 @@
 //! what the benchmark measures, is identical, and the runs stay exactly
 //! reproducible.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{work, Machine, VBarrier};
+use hoard_sim::{work, Machine, Rng, VBarrier};
 use std::sync::Mutex;
 
 /// Parameters for [`run`].

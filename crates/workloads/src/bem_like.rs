@@ -12,10 +12,9 @@
 //! allocations (work vectors). Allocator pressure is moderate, remote
 //! frees are regular, and phases synchronize at barriers.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{vchannel, work, Machine, VBarrier, VReceiver, VSender};
+use hoard_sim::{vchannel, work, Machine, Rng, VBarrier, VReceiver, VSender};
 use std::sync::Mutex;
 
 /// Parameters for [`run`].

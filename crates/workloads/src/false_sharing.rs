@@ -63,7 +63,10 @@ pub fn active_false(alloc: &dyn MtAllocator, threads: usize, params: &Params) ->
     // exactly like the original benchmark's startup (no virtual-time
     // cost attached). Subsequent cycles free and immediately reallocate,
     // which under a shared-LIFO allocator keeps handing back blocks on
-    // the shared lines — the benchmark's steady state.
+    // the shared lines — the benchmark's steady state. Each free+realloc
+    // pair takes the same ticket round-robin, as in `passive_false`:
+    // two pairs interleaved in real time would swap blocks or carve
+    // fresh ones, and the lines shared would depend on the host.
     let turn = std::sync::atomic::AtomicUsize::new(0);
     let report = Machine::new(threads).run(|proc| {
         let meter = &meter;
@@ -81,10 +84,15 @@ pub fn active_false(alloc: &dyn MtAllocator, threads: usize, params: &Params) ->
                     obj.write();
                     work(params.work_per_write);
                 }
+                while turn.load(std::sync::atomic::Ordering::Acquire) % threads != proc {
+                    std::thread::yield_now();
+                }
                 obj.free(alloc, meter);
                 if cycle + 1 < cycles {
                     obj = Obj::alloc(alloc, meter, params.object_size);
-                } else {
+                }
+                turn.fetch_add(1, std::sync::atomic::Ordering::Release);
+                if cycle + 1 == cycles {
                     break;
                 }
             }

@@ -10,10 +10,9 @@
 //! the owner's heap (or whose caches swallow remote memory) separate
 //! clearly from Hoard here.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{vchannel, work, Machine, VReceiver, VSender};
+use hoard_sim::{vchannel, work, Machine, Rng, VReceiver, VSender};
 use std::sync::Mutex;
 
 /// Parameters for [`run`].

@@ -29,7 +29,6 @@
 //! the paper's fragmentation table) and the allocator's own snapshot.
 
 mod meter;
-mod rng;
 mod object;
 
 pub mod barnes_hut;
@@ -50,10 +49,9 @@ pub use object::Obj;
 
 use hoard_mem::AllocSnapshot;
 use hoard_sim::RunReport;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of one workload run on one allocator at one thread count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadResult {
     /// Virtual makespan (the simulated wall-clock runtime).
     pub makespan: u64,
@@ -91,7 +89,7 @@ impl WorkloadResult {
 
 /// Catalog entry describing one benchmark (regenerates the paper's
 /// benchmark table, experiment E1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadInfo {
     /// Short name used across tables and the CLI.
     pub name: &'static str,

@@ -24,7 +24,7 @@
 //! All randomness derives from [`Params::seed`], which is written into
 //! the `.trc` header — a trace is reproducible from its own file.
 
-use crate::rng::Rng;
+use hoard_sim::Rng;
 use hoard_trace::{TrcOp, TrcRecord, TrcTrace};
 use std::collections::BinaryHeap;
 

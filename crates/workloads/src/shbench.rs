@@ -8,10 +8,9 @@
 //! management and produces the paper's worst observed fragmentation for
 //! Hoard.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{work, Machine};
+use hoard_sim::{work, Machine, Rng};
 
 /// Parameters for [`run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

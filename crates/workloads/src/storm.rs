@@ -12,10 +12,9 @@
 //! heap locks in the locked configuration, the packed remote words and
 //! Treiber-stack cache in the lock-free one.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{vchannel, work, Machine, VReceiver, VSender};
+use hoard_sim::{vchannel, work, Machine, Rng, VReceiver, VSender};
 use std::sync::Mutex;
 
 /// Parameters for [`run`].

@@ -18,10 +18,9 @@
 //! * a line-oriented text serialization (`to_text` / `from_text`) so
 //!   traces can be stored in files and diffed.
 
-use crate::rng::Rng;
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
-use hoard_sim::{vchannel, work, Machine, VReceiver, VSender};
+use hoard_sim::{vchannel, work, Machine, Rng, VReceiver, VSender};
 use hoard_trace::{TrcOp, TrcRecord, TrcTrace};
 use std::borrow::Cow;
 use std::collections::HashMap;

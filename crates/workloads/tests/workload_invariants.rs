@@ -1,18 +1,19 @@
-// The stub ProptestConfig used offline has only the fields we set, which
-// makes `..default()` a needless_update under clippy; keep it for real proptest.
-#![allow(clippy::needless_update)]
-
 //! Property tests across workload parameter spaces: for random
 //! parameters and any allocator, every workload must terminate, return
 //! all memory, and report sane accounting. These catch parameter-edge
 //! bugs (single thread, tiny batches, working sets larger than the
-//! trace) that fixed-parameter tests never visit.
+//! trace) that fixed-parameter tests never visit. Each property runs
+//! [`CASES`] generated parameter sets; a failure names the seed that
+//! reproduces it.
 
 use hoard_baselines::SerialAllocator;
 use hoard_core::HoardAllocator;
 use hoard_mem::MtAllocator;
+use hoard_sim::Rng;
 use hoard_workloads as wl;
-use proptest::prelude::*;
+
+/// Generated parameter sets per workload.
+const CASES: u64 = 12;
 
 fn allocator(pick: usize) -> Box<dyn MtAllocator> {
     match pick % 2 {
@@ -21,125 +22,109 @@ fn allocator(pick: usize) -> Box<dyn MtAllocator> {
     }
 }
 
-fn check(result: &wl::WorkloadResult, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(result.snapshot.live_current, 0, "{}: leak", what);
-    prop_assert!(result.makespan > 0, "{}: empty run", what);
-    prop_assert!(result.ops > 0, "{}: no ops recorded", what);
-    prop_assert!(
+fn check(result: &wl::WorkloadResult, what: &str) {
+    assert_eq!(result.snapshot.live_current, 0, "{}: leak", what);
+    assert!(result.makespan > 0, "{}: empty run", what);
+    assert!(result.ops > 0, "{}: no ops recorded", what);
+    assert!(
         result.snapshot.held_peak >= result.max_live_requested / 2,
         "{}: held ({}) cannot be far below live ({})",
         what,
         result.snapshot.held_peak,
         result.max_live_requested
     );
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    #[test]
-    fn threadtest_any_params(
-        threads in 1usize..=6,
-        total in 200u64..=4_000,
-        batch in 1usize..=120,
-        size in 1usize..=512,
-        pick in 0usize..2,
-    ) {
+#[test]
+fn threadtest_any_params() {
+    Rng::for_each_case(CASES, |rng| {
+        let threads = rng.range(1, 6);
         let params = wl::threadtest::Params {
-            total_objects: total,
-            batch,
-            size,
+            total_objects: rng.range(200, 4_000) as u64,
+            batch: rng.range(1, 120),
+            size: rng.range(1, 512),
             work_per_object: 10,
         };
-        let alloc = allocator(pick);
+        let alloc = allocator(rng.range(0, 1));
         let r = wl::threadtest::run(&*alloc, threads, &params);
-        check(&r, "threadtest")?;
-    }
+        check(&r, "threadtest");
+    });
+}
 
-    #[test]
-    fn shbench_any_params(
-        threads in 1usize..=6,
-        total in 100u64..=3_000,
-        slots in 1usize..=200,
-        max_size in 1usize..=2_000,
-        pick in 0usize..2,
-    ) {
+#[test]
+fn shbench_any_params() {
+    Rng::for_each_case(CASES, |rng| {
+        let threads = rng.range(1, 6);
         let params = wl::shbench::Params {
-            total_ops: total,
-            slots,
+            total_ops: rng.range(100, 3_000) as u64,
+            slots: rng.range(1, 200),
             min_size: 1,
-            max_size,
+            max_size: rng.range(1, 2_000),
             work_per_op: 5,
             seed: 7,
         };
-        let alloc = allocator(pick);
+        let alloc = allocator(rng.range(0, 1));
         let r = wl::shbench::run(&*alloc, threads, &params);
-        check(&r, "shbench")?;
-    }
+        check(&r, "shbench");
+    });
+}
 
-    #[test]
-    fn larson_any_params(
-        threads in 1usize..=5,
-        slots in 1usize..=100,
-        rounds in 1usize..=4,
-        ops in 1u64..=600,
-        pick in 0usize..2,
-    ) {
+#[test]
+fn larson_any_params() {
+    Rng::for_each_case(CASES, |rng| {
+        let threads = rng.range(1, 5);
         let params = wl::larson::Params {
-            slots_per_thread: slots,
-            rounds,
-            ops_per_round: ops,
+            slots_per_thread: rng.range(1, 100),
+            rounds: rng.range(1, 4),
+            ops_per_round: rng.range(1, 600) as u64,
             min_size: 8,
             max_size: 64,
             work_per_op: 5,
             seed: 11,
         };
-        let alloc = allocator(pick);
+        let alloc = allocator(rng.range(0, 1));
         let r = wl::larson::run(&*alloc, threads, &params);
-        check(&r, "larson")?;
-    }
+        check(&r, "larson");
+    });
+}
 
-    #[test]
-    fn false_sharing_any_params(
-        threads in 1usize..=6,
-        writes in 100u64..=5_000,
-        wpo in 1u64..=200,
-        pick in 0usize..2,
-    ) {
+#[test]
+fn false_sharing_any_params() {
+    Rng::for_each_case(CASES, |rng| {
+        let threads = rng.range(1, 6);
         let params = wl::false_sharing::Params {
             object_size: 8,
-            total_writes: writes,
-            writes_per_object: wpo,
+            total_writes: rng.range(100, 5_000) as u64,
+            writes_per_object: rng.range(1, 200) as u64,
             work_per_write: 2,
         };
+        let pick = rng.range(0, 1);
         let a = allocator(pick);
-        check(&wl::false_sharing::active_false(&*a, threads, &params), "active")?;
+        let r = wl::false_sharing::active_false(&*a, threads, &params);
+        check(&r, "active");
         let b = allocator(pick + 1);
-        check(&wl::false_sharing::passive_false(&*b, threads, &params), "passive")?;
-    }
+        let r = wl::false_sharing::passive_false(&*b, threads, &params);
+        check(&r, "passive");
+    });
+}
 
-    #[test]
-    fn trace_synthesis_any_params(
-        threads in 1usize..=5,
-        allocs in 10usize..=400,
-        working_set in 1usize..=64,
-        remote in 0u32..=500,
-    ) {
+#[test]
+fn trace_synthesis_any_params() {
+    Rng::for_each_case(CASES, |rng| {
         let params = wl::trace::SynthesisParams {
-            threads,
-            allocs_per_thread: allocs,
+            threads: rng.range(1, 5),
+            allocs_per_thread: rng.range(10, 400),
             min_size: 8,
             max_size: 256,
-            working_set,
-            remote_free_permille: remote,
+            working_set: rng.range(1, 64),
+            remote_free_permille: rng.range(0, 500) as u32,
             work_between: 2,
             seed: 3,
         };
         let trace = wl::trace::synthesize(&params);
-        prop_assert!(trace.validate().is_ok());
+        assert!(trace.validate().is_ok());
         let alloc = HoardAllocator::new_default();
         let r = wl::trace::replay(&alloc, &trace);
-        prop_assert_eq!(r.snapshot.live_current, 0, "trace replay leak");
-    }
+        assert_eq!(r.snapshot.live_current, 0, "trace replay leak");
+    });
 }
