@@ -8,9 +8,11 @@
 
 For every workload and seed it runs `--pairs` pairs of (parent, change),
 alternating which side goes first, with the run length BENCHMARK.json
-fixes, and prints for every metric each side's median [q1, q3], the
-pairs the change won, and a verdict by the rule of the choosing-metrics
-guide, section 8:
+fixes, and prints for every metric each side's median [q1, q3] and
+minimum, the pairs the change won, and a verdict by the rule of the
+choosing-metrics guide, section 8 (the minimum is for the reader: on a
+shared host the median of a timing's repetitions swings with the
+neighbours while its fastest run settles; no verdict uses it):
 
   gain        the change won at least nine tenths of the pairs (ties for
               neither side) and the medians differ by more than the
@@ -120,8 +122,8 @@ def main():
                         json.dump(record, f)
             print(f"\n## {workload}, seed {seed}: {args.pairs} alternating pairs of {seconds} s"
                   f"{', traced' if args.trace else ''}")
-            print(f"{'metric':44} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} "
-                  f"{'change/parent':>13} {'won':>7}  verdict")
+            print(f"{'metric':44} {'parent median [q1, q3]':>34} {'min':>9} "
+                  f"{'change median [q1, q3]':>34} {'min':>9} {'change/parent':>13} {'won':>7}  verdict")
             for name in sides["parent"][0]["metrics"]:
                 spec_m = declared.get(name, {})
                 unit = sides["parent"][0]["metrics"][name]["unit"]
@@ -136,16 +138,18 @@ def main():
                 if verdict in ("REGRESSION", "MOVED"):
                     bad.append(f"{workload} seed {seed}: {name} {verdict}")
                 if verdict == "identical":
-                    print(f"{name:44} {cols['parent'][0]!r:>34} {'=':>34} {'':>13} {'':>7}  {verdict}")
+                    print(f"{name:44} {cols['parent'][0]!r:>34} {'':>9} {'=':>34} {'':>9} "
+                          f"{'':>13} {'':>7}  {verdict}")
                     continue
                 cells = []
                 for side in ("parent", "change"):
                     q1, med, q3 = quartiles(cols[side])
-                    cells.append(f"{med:.6g} [{q1:.6g}, {q3:.6g}]")
+                    spread = f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
+                    cells.append(f"{spread:>34} {min(cols[side]):>9.6g}")
                 pm = statistics.median(cols["parent"])
                 ratio = f"{statistics.median(cols['change']) / pm:.3f}" if pm else "-"
                 tally = f"{won}/{args.pairs}" + (f" ={ties}" if ties else "")
-                print(f"{name:44} {cells[0]:>34} {cells[1]:>34} {ratio:>13} {tally:>7}  {verdict}")
+                print(f"{name:44} {cells[0]} {cells[1]} {ratio:>13} {tally:>7}  {verdict}")
 
     for line in bad:
         print("FAIL:", line)

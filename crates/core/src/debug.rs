@@ -17,7 +17,7 @@
 use crate::hoard::{HoardAllocator, SLOT_OWNER_BASE};
 use crate::magazine::{MagazineSlot, SlotClaim};
 use crate::superblock::Superblock;
-use hoard_mem::ChunkSource;
+use hoard_mem::{ChunkSource, LIVE_GRANT};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Claim a magazine slot for scanning, spinning out any in-flight
@@ -44,6 +44,10 @@ pub struct HeapObservation {
     pub a: u64,
     /// Superblocks linked in the heap.
     pub superblocks: usize,
+    /// What the heap holds of the allocator's `live` cell beyond the
+    /// program's bytes (the undrawn part of its grant; a slot's private
+    /// heap takes none).
+    pub live_headroom: u64,
     /// Whether the paper's emptiness invariant `u ≥ a − K·S ∨ u ≥ (1−f)·a`
     /// holds (always reported; only *meaningful* for per-processor heaps).
     pub invariant_holds: bool,
@@ -251,12 +255,19 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
                 "heap {index}: a counter {a} != scanned usable bytes {scanned_usable}"
             ));
         }
+        let live_headroom = heap.live_headroom();
+        if live_headroom > 2 * LIVE_GRANT {
+            errors.push(format!(
+                "heap {index}: live headroom {live_headroom} above two grants"
+            ));
+        }
 
         heaps.push(HeapObservation {
             index,
             u,
             a,
             superblocks: scanned_count,
+            live_headroom,
             invariant_holds: !cfg.invariant_violated(u, a),
             has_f_empty_superblock: has_f_empty,
         });
@@ -325,6 +336,7 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             u: used,
             a: usable,
             superblocks: count,
+            live_headroom: heaps[0].live_headroom,
             invariant_holds: true, // not meaningful for the cache
             has_f_empty_superblock: has_f_empty,
         };
@@ -410,11 +422,22 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
                     u: sh.u,
                     a: sh.a,
                     superblocks: scanned_count,
+                    live_headroom: 0,
                     invariant_holds: !cfg.invariant_violated(sh.u, sh.a),
                     has_f_empty_superblock: has_f_empty,
                 });
             }
         }
+    }
+
+    // The cell counts the program's bytes *plus* what the shards hold of
+    // it, so a shard gauge that lost a decrement shows here (it would
+    // only saturate `live_current` to 0, which is what a test expects).
+    let (cell, in_shards) = (alloc.live_cell(), alloc.live_in_shards());
+    if cell < in_shards {
+        errors.push(format!(
+            "live cell {cell} below the {in_shards} its shards hold of it"
+        ));
     }
 
     Validation { heaps, errors }

@@ -66,6 +66,7 @@ impl Heap {
 
     /// Length of the empty list. Exact for the lock holder; a relaxed
     /// snapshot for anyone else.
+    #[inline]
     pub fn empty_count(&self) -> usize {
         self.empty_count.load(Ordering::Relaxed) as usize
     }
@@ -99,11 +100,20 @@ impl Heap {
         self.stats.add_to(snap);
     }
 
+    /// What this heap holds of the allocator's `live` cell beyond the
+    /// program's bytes: the undrawn part of its grant (see
+    /// [`hoard_mem::AllocStats::on_alloc_in`]). Read-only, no lock
+    /// needed.
+    pub fn live_headroom(&self) -> u64 {
+        self.stats.cached_bytes()
+    }
+
     /// Link `sb` into the fullness group matching its occupancy.
     ///
     /// # Safety
     ///
     /// Lock held; `sb` live, unlinked, and its `class` within range.
+    #[inline]
     pub unsafe fn link(&self, sb: *mut Superblock) {
         let group = Superblock::fullness_group(sb);
         (*sb).group = group as u8;
@@ -116,6 +126,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `sb` live and linked in this heap.
+    #[inline]
     pub unsafe fn unlink(&self, sb: *mut Superblock) {
         if (*sb).group == EMPTY_LIST {
             list::remove(&self.empty, sb);
@@ -131,6 +142,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `sb` live and linked in one of this heap's bins.
+    #[inline]
     pub unsafe fn relink(&self, sb: *mut Superblock) {
         debug_assert_ne!((*sb).group, EMPTY_LIST, "relink of an empty-list superblock");
         if (*sb).in_use == 0 {
@@ -152,6 +164,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `sb` live and unlinked.
+    #[inline]
     pub unsafe fn place(&self, sb: *mut Superblock) {
         if (*sb).in_use == 0 {
             self.push_empty(sb);
@@ -165,6 +178,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `sb` live, unlinked, `in_use == 0`.
+    #[inline]
     pub unsafe fn push_empty(&self, sb: *mut Superblock) {
         debug_assert_eq!((*sb).in_use, 0);
         (*sb).group = EMPTY_LIST;
@@ -178,6 +192,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held.
+    #[inline]
     pub unsafe fn pop_empty(&self) -> *mut Superblock {
         let sb = list::pop_front(&self.empty);
         if !sb.is_null() {
@@ -194,6 +209,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `class < MAX_CLASSES`.
+    #[inline]
     pub unsafe fn find_with_free(&self, class: usize) -> *mut Superblock {
         for group in (0..FULLNESS_GROUPS).rev() {
             let head = self.bins[class][group].load(Ordering::Relaxed);

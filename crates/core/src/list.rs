@@ -15,6 +15,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 /// # Safety
 ///
 /// Caller holds the owning heap's lock; `sb` is live and unlinked.
+#[inline]
 pub(crate) unsafe fn push_front(head: &AtomicPtr<Superblock>, sb: *mut Superblock) {
     let old = head.load(Ordering::Relaxed);
     (*sb).next = old;
@@ -31,6 +32,7 @@ pub(crate) unsafe fn push_front(head: &AtomicPtr<Superblock>, sb: *mut Superbloc
 ///
 /// Caller holds the owning heap's lock; `sb` is linked in exactly this
 /// list.
+#[inline]
 pub(crate) unsafe fn remove(head: &AtomicPtr<Superblock>, sb: *mut Superblock) {
     let prev = (*sb).prev;
     let next = (*sb).next;
@@ -52,6 +54,7 @@ pub(crate) unsafe fn remove(head: &AtomicPtr<Superblock>, sb: *mut Superblock) {
 /// # Safety
 ///
 /// Caller holds the owning heap's lock.
+#[inline]
 pub(crate) unsafe fn pop_front(head: &AtomicPtr<Superblock>) -> *mut Superblock {
     let sb = head.load(Ordering::Relaxed);
     if !sb.is_null() {

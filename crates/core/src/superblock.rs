@@ -207,6 +207,7 @@ impl Superblock {
     /// # Safety
     ///
     /// Caller must hold the owning heap's lock.
+    #[inline]
     pub unsafe fn has_free(sb: *mut Superblock) -> bool {
         (*sb).in_use < (*sb).capacity
     }
@@ -216,6 +217,7 @@ impl Superblock {
     /// # Safety
     ///
     /// Caller must hold the owning heap's lock.
+    #[inline]
     pub unsafe fn used_bytes(sb: *mut Superblock) -> u64 {
         (*sb).in_use as u64 * (*sb).block_size as u64
     }
@@ -229,6 +231,7 @@ impl Superblock {
     /// # Safety
     ///
     /// `sb` must be a live superblock.
+    #[inline]
     pub unsafe fn usable_bytes(sb: *mut Superblock) -> u64 {
         (*sb).capacity as u64 * (*sb).block_size as u64
     }
@@ -240,6 +243,7 @@ impl Superblock {
     ///
     /// Caller must hold the owning heap's lock and have checked
     /// [`has_free`](Self::has_free).
+    #[inline]
     pub unsafe fn alloc_block(sb: *mut Superblock) -> *mut u8 {
         debug_assert!(Self::has_free(sb));
         let payload = {
@@ -268,6 +272,7 @@ impl Superblock {
     ///
     /// Caller must hold the owning heap's lock; `payload` must be a live
     /// block of this superblock.
+    #[inline]
     pub unsafe fn free_block(sb: *mut Superblock, payload: *mut u8) {
         debug_assert!((*sb).in_use > 0, "free on an empty superblock");
         debug_assert!(Self::contains(sb, payload));
@@ -296,6 +301,7 @@ impl Superblock {
     /// # Safety
     ///
     /// Caller must hold the owning heap's lock.
+    #[inline]
     pub unsafe fn fullness_group(sb: *mut Superblock) -> usize {
         let in_use = (*sb).in_use as usize;
         let cap = (*sb).capacity as usize;
@@ -317,6 +323,7 @@ impl Superblock {
     /// # Safety
     ///
     /// `sb` must be a live superblock.
+    #[inline]
     pub unsafe fn owner(sb: *mut Superblock) -> usize {
         (*sb).owner.load(Ordering::Acquire)
     }
@@ -327,6 +334,7 @@ impl Superblock {
     /// # Safety
     ///
     /// See above; `sb` must be a live superblock.
+    #[inline]
     pub unsafe fn set_owner(sb: *mut Superblock, owner: usize) {
         (*sb).owner.store(owner, Ordering::Release);
     }
@@ -431,6 +439,7 @@ impl Superblock {
     /// # Safety
     ///
     /// `sb` must be a live superblock.
+    #[inline]
     pub unsafe fn remote_len(sb: *mut Superblock) -> u32 {
         remote_word_count((*sb).remote.load(Ordering::Relaxed))
     }
@@ -441,6 +450,7 @@ impl Superblock {
     /// # Safety
     ///
     /// `sb` must be a live superblock.
+    #[inline]
     pub unsafe fn remote_pending(sb: *mut Superblock) -> bool {
         remote_head_idx((*sb).remote.load(Ordering::Relaxed)) != NULL_IDX
     }

@@ -8,13 +8,17 @@
 //! private trace track recorded.
 //!
 //! `live_current` is the shared `live` cell less every slot's
-//! single-writer `cached_bytes` gauge, read at different instants, so a
-//! reader thread snapshots throughout and holds each snapshot to what a
-//! racing reader is promised: it never wraps, and never exceeds
-//! `live_peak`.
+//! single-writer `cached_bytes` gauge and every heap's single-writer
+//! headroom, read at different instants, so a reader thread snapshots
+//! throughout and holds each snapshot to what a racing reader is
+//! promised: it never wraps, and never exceeds `live_peak`. At the end
+//! the gauges must account for the cell exactly: a headroom written from
+//! outside its heap's lock drifts, upward into a `live_current` that is
+//! not 0 or downward into a cell below what the shards claim of it
+//! (`debug::validate`).
 
 use hoard_core::{debug, EventKind, HoardAllocator, HoardConfig, TraceConfig, TraceSink};
-use hoard_mem::MtAllocator;
+use hoard_mem::{MtAllocator, LIVE_GRANT};
 use std::ptr::NonNull;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
@@ -138,6 +142,15 @@ fn collide(cfg: HoardConfig) {
     stats.check_consistency().expect("consistent at quiescence");
     let v = debug::validate(&h);
     assert!(v.is_consistent(), "{:?}", v.errors);
+    // Two grants at most for each heap in use: the colliding pairs'
+    // heaps 1 and 2, and the global heap (a free into a superblock it
+    // owns lands in its shard).
+    let headroom: u64 = v.heaps.iter().map(|h| h.live_headroom).sum();
+    assert!(
+        headroom <= 2 * LIVE_GRANT * 3,
+        "{headroom} B of headroom: {:?}",
+        v.heaps
+    );
 
     // Each thread's own event track, summed.
     let log = sink.collect();

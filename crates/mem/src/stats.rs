@@ -16,18 +16,31 @@
 //! ([`hoard_sim::single_writer_add`]) and summed into the snapshot by
 //! [`StatsShard::add_to`].
 //!
-//! `live` stays one shared cell, but it means **bytes out of the
-//! heaps** — the application's blocks plus whatever sits in thread-local
-//! magazines — so it moves once per *batch* (a refill, a flush) and once
-//! per locked, large or deferred operation, and never on a magazine hit.
-//! Each shard keeps a single-writer [`cached_bytes`](StatsShard::cached_bytes)
-//! gauge of what its magazines hold; the application-facing `U(t)` is the
-//! cell less the sum of the gauges (exact at quiescence), and `live_peak`
-//! is the peak of the cell: `max U` exactly for an allocator without
-//! magazines, at most the magazines' capacity above it with them.
+//! `live` stays one shared cell, but it counts more than the program's
+//! bytes, so that no common path has to write it. A magazine slot's
+//! blocks stay counted while they sit in the magazine (the cell moves
+//! once per *batch*: a refill, a flush), and a locked heap draws the
+//! cell down in *grants* of [`LIVE_GRANT`] bytes: an allocation inside
+//! the heap's headroom, and every free until the headroom passes twice
+//! the grant, is a load + store on the heap's own shard. Each shard
+//! keeps what it holds of the cell in its single-writer
+//! [`cached_bytes`](StatsShard::cached_bytes) gauge, so at every instant
+//! `cell = U(t) + Σ cached_bytes`; the application-facing `U(t)` is the
+//! cell less the sum of the gauges (exact at quiescence and at every
+//! step of a sequential run), and `live_peak` is the peak of the cell:
+//! `max U ≤ live_peak ≤ max U + magazine capacity of the slots in use +
+//! 2·LIVE_GRANT·heaps in use` — the same `P·S` shape as the paper's
+//! blowup bound. Only the unguarded paths (large objects, deferred
+//! remote frees, the baselines) move the cell per call.
 
 use hoard_sim::{single_writer_add, single_writer_sub};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes of the `live` cell a locked heap's shard draws at a time (the
+/// default superblock size `S`): see [`AllocStats::on_alloc_in`]. A
+/// shard's headroom stays within `0 ..= 2 * LIVE_GRANT`, which is the
+/// per-heap term of the [`live_peak`](AllocSnapshot::live_peak) bound.
+pub const LIVE_GRANT: u64 = 8192;
 
 /// Monotone `fetch_max` for high-water marks on a relaxed atomic.
 #[inline]
@@ -59,10 +72,14 @@ pub struct StatsShard {
     mag_free_hits: AtomicU64,
     mag_refills: AtomicU64,
     mag_flushes: AtomicU64,
-    /// Bytes of blocks held by the magazines this shard's guard covers:
-    /// counted in [`AllocStats`]'s `live` cell, not in use by the program.
+    /// Bytes counted in [`AllocStats`]'s `live` cell that are not the
+    /// program's: the blocks in a slot's magazines, or what is left of a
+    /// heap's grant ([`LIVE_GRANT`]).
     cached_bytes: AtomicU64,
 }
+
+// One cache line: a guarded call dirties no second line for its books.
+const _: () = assert!(std::mem::size_of::<StatsShard>() == 64);
 
 impl StatsShard {
     /// A zeroed shard. `const`, so it can live in a `static` allocator.
@@ -101,8 +118,9 @@ impl StatsShard {
         single_writer_add(&self.cached_bytes, bytes);
     }
 
-    /// Bytes held by this shard's magazines. Read-only, so it needs no
-    /// guard; a reader subtracts it from the `live` cell, saturating,
+    /// Bytes this shard holds of the `live` cell beyond the program's (a
+    /// slot's magazine contents, a heap's headroom). Read-only, so it
+    /// needs no guard; a reader subtracts it from the cell, saturating,
     /// because the two are read at different instants.
     #[inline]
     pub fn cached_bytes(&self) -> u64 {
@@ -177,11 +195,20 @@ impl AllocStats {
         self.allocs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// [`on_alloc`](Self::on_alloc) from inside the exclusive context
-    /// guarding `shard`: the event count goes to the shard.
+    /// [`on_alloc`](Self::on_alloc) from inside the lock guarding a
+    /// heap's `shard`: the event count goes to the shard, and so do the
+    /// bytes while they fit the shard's headroom. One that does not fit
+    /// draws the shortfall plus a fresh [`LIVE_GRANT`] from the cell in
+    /// one RMW (which is where the peak is raised).
     #[inline]
     pub fn on_alloc_in(&self, shard: &StatsShard, bytes: u64) {
-        self.live_add(bytes);
+        let room = shard.cached_bytes.load(Ordering::Relaxed);
+        if bytes <= room {
+            shard.cached_bytes.store(room - bytes, Ordering::Relaxed);
+        } else {
+            self.live_add(bytes + LIVE_GRANT - room);
+            shard.cached_bytes.store(LIVE_GRANT, Ordering::Relaxed);
+        }
         single_writer_add(&shard.allocs, 1);
     }
 
@@ -197,11 +224,18 @@ impl AllocStats {
         }
     }
 
-    /// [`on_free`](Self::on_free) from inside the exclusive context
-    /// guarding `shard`: the event counts go to the shard.
+    /// [`on_free`](Self::on_free) from inside the lock guarding a heap's
+    /// `shard`: the event counts go to the shard and the bytes to its
+    /// headroom, which hands everything above one [`LIVE_GRANT`] back to
+    /// the cell in one RMW once it passes two.
     #[inline]
     pub fn on_free_in(&self, shard: &StatsShard, bytes: u64, remote: bool) {
-        self.live.fetch_sub(bytes, Ordering::Relaxed);
+        let mut room = shard.cached_bytes.load(Ordering::Relaxed) + bytes;
+        if room > 2 * LIVE_GRANT {
+            self.live.fetch_sub(room - LIVE_GRANT, Ordering::Relaxed);
+            room = LIVE_GRANT;
+        }
+        shard.cached_bytes.store(room, Ordering::Relaxed);
         single_writer_add(&shard.frees, 1);
         if remote {
             single_writer_add(&shard.remote_frees, 1);
@@ -272,8 +306,8 @@ impl AllocStats {
         self.free_owner_retries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Bytes currently out of the heaps: in use by the program, plus
-    /// whatever the shards' magazines hold.
+    /// The cell as it stands: bytes in use by the program, plus whatever
+    /// the shards hold of it ([`StatsShard::cached_bytes`]).
     #[inline]
     pub fn live_now(&self) -> u64 {
         self.live.load(Ordering::Relaxed)
@@ -318,10 +352,12 @@ pub struct AllocSnapshot {
     /// traffic a difference of values read at different instants,
     /// clamped to `0 ..= live_peak`.
     pub live_current: u64,
-    /// Peak bytes out of the heaps: `max U` exactly for an allocator
-    /// without thread-local magazines; with them an upper bound, above
-    /// `max U` by at most what the magazines in use can hold (blocks in
-    /// a magazine have left the heaps but are not the program's).
+    /// Peak of the `live` cell: `max U` exactly for an allocator that
+    /// hands out no shards (the baselines); for Hoard a one-sided bound,
+    /// `max U ≤ live_peak ≤ max U + what the magazines of the slots in
+    /// use can hold + 2·`[`LIVE_GRANT`]`·heaps in use` (blocks in a
+    /// magazine and a heap's undrawn grant are counted in the cell but
+    /// are not the program's).
     pub live_peak: u64,
     /// `malloc` count.
     pub allocs: u64,
@@ -371,9 +407,9 @@ impl AllocSnapshot {
     }
 
     /// The paper's fragmentation ratio `max A / max U`, with
-    /// [`live_peak`](Self::live_peak) — peak bytes out of the heaps —
-    /// standing for `max U`: exact without magazines, a slight
-    /// under-estimate with them. (The experiment tables divide by the
+    /// [`live_peak`](Self::live_peak) — the peak of the `live` cell —
+    /// standing for `max U`: exact for the baselines, a slight
+    /// under-estimate for Hoard. (The experiment tables divide by the
     /// workload's own meter instead, `WorkloadResult::max_live_requested`.)
     ///
     /// Returns `None` when nothing was ever allocated.
@@ -422,6 +458,7 @@ impl AllocSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hoard_sim::Rng;
 
     #[test]
     fn live_accounting_and_peak() {
@@ -632,11 +669,24 @@ mod tests {
         });
         // Once as a slot's shard would be driven, once as a heap's.
         for shard in &shards {
-            check("on_alloc_in", &alloc, &|| stats.on_alloc_in(shard, 8));
+            // A heap's first allocation draws its grant with the bytes;
+            // inside the grant the shard moves alone.
+            let granted = [(LIVE, 8), (PEAK, 8 + LIVE_GRANT as i64), (ALLOCS, 1)];
+            let inside = [(LIVE, 8), (ALLOCS, 1)];
+            check("on_alloc_in", &granted, &|| stats.on_alloc_in(shard, 8));
+            let cell_before = stats.snapshot();
+            check("on_alloc_in, granted", &inside, &|| {
+                stats.on_alloc_in(shard, 8)
+            });
             check("on_free_in", &free, &|| stats.on_free_in(shard, 8, false));
             check("on_free_in remote", &free_remote, &|| {
                 stats.on_free_in(shard, 8, true)
             });
+            assert_eq!(
+                stats.snapshot(),
+                cell_before,
+                "a locked call inside the grant wrote the shared cell"
+            );
             // A batch into the shard's magazines: out of the heaps
             // (the peak sees it), not yet the application's.
             check("refill_in", &[(PEAK, 24), (REFILLS, 1)], &|| {
@@ -660,7 +710,9 @@ mod tests {
                 stats.on_magazine_flush_in(shard, 8)
             });
             check("parked_in", &[], &|| stats.on_magazines_parked_in(shard, 8));
-            assert_eq!(shard.cached_bytes(), 0);
+            // The magazines' share is back to zero; the heap side keeps
+            // its grant, and the one block more it freed than it took.
+            assert_eq!(shard.cached_bytes(), LIVE_GRANT + 8);
         }
         for (field, hit) in reached.iter().enumerate() {
             // `held_*` come from `SourceStats` (see `with_source`).
@@ -672,10 +724,61 @@ mod tests {
         // A shard left out of the sum loses exactly its own events.
         let partial = snapshot_with(&stats, &shards[..1]);
         let full = snapshot_with(&stats, &shards);
-        assert_eq!(full.allocs - partial.allocs, 3);
+        assert_eq!(full.allocs - partial.allocs, 4);
         assert_eq!(full.frees - partial.frees, 3);
         assert_eq!(full.magazines.alloc_hits - partial.magazines.alloc_hits, 1);
         assert_eq!(full.magazines.refills - partial.magazines.refills, 1);
+    }
+
+    /// The grant protocol against a model: `k` heap shards, blocks from
+    /// 8 B to three grants, and every free landing on whichever shard
+    /// the generator picks — not the one that allocated the block, as
+    /// when its superblock migrated in between.
+    #[test]
+    fn live_grants_match_a_model_across_shards() {
+        for k in [1usize, 3, 8] {
+            Rng::for_each_case(24, |rng| {
+                let stats = AllocStats::new();
+                let shards: Vec<StatsShard> = (0..k).map(|_| StatsShard::new()).collect();
+                let rooms = || shards.iter().map(StatsShard::cached_bytes).sum::<u64>();
+                let mut held: Vec<u64> = Vec::new();
+                let (mut live, mut peak) = (0u64, 0u64);
+                for step in 0..3000 {
+                    let shard = &shards[rng.range(0, k - 1)];
+                    // Grow for a while, shrink for a while, so headroom
+                    // runs out and overflows many times over.
+                    let growing = (step / 300) % 2 == 0;
+                    if held.is_empty() || rng.range(0, 9) < if growing { 7 } else { 3 } {
+                        let bytes = match rng.range(0, 9) {
+                            0 => rng.range(8, 3 * LIVE_GRANT as usize),
+                            _ => rng.range(8, 600),
+                        } as u64;
+                        stats.on_alloc_in(shard, bytes);
+                        held.push(bytes);
+                        live += bytes;
+                        peak = peak.max(live);
+                    } else {
+                        let bytes = held.swap_remove(rng.range(0, held.len() - 1));
+                        stats.on_free_in(shard, bytes, false);
+                        live -= bytes;
+                    }
+                    let cell = stats.snapshot();
+                    assert_eq!(cell.live_current - rooms(), live, "step {step}");
+                    assert!(shards.iter().all(|s| s.cached_bytes() <= 2 * LIVE_GRANT));
+                    assert!(
+                        peak <= cell.live_peak
+                            && cell.live_peak <= peak + 2 * LIVE_GRANT * k as u64,
+                        "step {step}: model peak {peak}, {cell:?}"
+                    );
+                }
+                for bytes in held.drain(..) {
+                    stats.on_free_in(&shards[rng.range(0, k - 1)], bytes, false);
+                }
+                let end = snapshot_with(&stats, &shards);
+                assert_eq!(end.live_current, 0);
+                assert_eq!(end.check_consistency(), Ok(()));
+            });
+        }
     }
 
     #[test]

@@ -152,6 +152,16 @@ pub(crate) fn publish(clock: u64) {
     }
 }
 
+/// Whether the calling thread is attached to a machine: `CTX` is `Some`
+/// exactly when `PUBLISH_SLOT` is non-null ([`swap_ctx`] keeps the two
+/// together), so this is one thread-local load where asking `CTX` would
+/// borrow a `RefCell` — what lets [`crate::VLock::lock`] skip the gate on
+/// a plain thread (a `GlobalAlloc` user, a wall-clock loop).
+#[inline]
+pub(crate) fn attached() -> bool {
+    !PUBLISH_SLOT.with(|p| p.get()).is_null()
+}
+
 /// Where [`publish`] currently stores (null when detached).
 #[cfg(test)]
 pub(crate) fn publish_slot() -> *const AtomicU64 {
@@ -195,7 +205,8 @@ pub(crate) fn dec_lock_depth() {
 
 /// The ordering gate: yield the host CPU until this worker's virtual
 /// clock is within [`WINDOW`] of the slowest runnable peer. Called by
-/// [`crate::VLock::lock`] at lock depth 0.
+/// [`crate::VLock::lock`] at lock depth 0 on an [`attached`] thread (it
+/// returns at once on any other).
 pub(crate) fn gate(my_clock: u64) {
     // Borrowed, not cloned: nothing below re-enters `CTX`, and an `Arc`
     // clone would put two RMWs on a shared refcount into every lock.
@@ -226,10 +237,28 @@ pub(crate) fn gate(my_clock: u64) {
 mod tests {
     use super::*;
 
+    /// `attached()` is `CTX.is_some()`, and both read `expect`.
+    fn assert_attached(expect: bool) {
+        assert_eq!(CTX.with(|c| c.borrow().0.is_some()), expect);
+        assert_eq!(attached(), expect);
+    }
+
     #[test]
     fn non_machine_threads_are_never_gated() {
         // Must return immediately: no context attached.
+        assert_attached(false);
         gate(u64::MAX);
+        std::thread::spawn(|| assert_attached(false))
+            .join()
+            .expect("a fresh thread starts detached");
+        // A sequential scope attaches its caller for its duration, nested
+        // or not, and hands back what it found.
+        crate::sequential_scope(2, || {
+            assert_attached(true);
+            crate::sequential_scope(3, || assert_attached(true));
+            assert_attached(true);
+        });
+        assert_attached(false);
     }
 
     #[test]
@@ -253,9 +282,11 @@ mod tests {
         // context holding the *last* `Arc`: detaching frees the state,
         // and a later charge must not store through the old slot.
         assert!(publish_slot().is_null());
+        assert_attached(false);
         let state = MachineState::new(2);
         let weak = Arc::downgrade(&state);
         attach(&state, 1);
+        assert_attached(true);
         drop(state);
         let live = weak.upgrade().expect("the context keeps the machine alive");
         assert_eq!(publish_slot(), &live.clocks[1] as *const AtomicU64);
@@ -264,6 +295,7 @@ mod tests {
         drop(live);
         detach();
         assert!(publish_slot().is_null());
+        assert_attached(false);
         assert!(weak.upgrade().is_none(), "detach released the last Arc");
         let t = crate::clock::now();
         crate::clock::charge(5);

@@ -74,8 +74,9 @@ impl VLock {
         // Conservative ordering: workers far ahead in virtual time yield
         // until laggards catch up, so real acquisition order approximates
         // virtual-time order (see `gate`). Never while holding a lock —
-        // that keeps the protocol deadlock-free.
-        if crate::gate::lock_depth() == 0 {
+        // that keeps the protocol deadlock-free. A thread attached to no
+        // machine has nobody to wait for and skips the call.
+        if crate::gate::attached() && crate::gate::lock_depth() == 0 {
             crate::gate::gate(clock::now());
         }
         // --- real acquisition ---
