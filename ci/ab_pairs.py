@@ -26,6 +26,15 @@ neighbours while its fastest run settles; no verdict uses it):
               exact metric — virtual units, ratios, counts — must do)
   MOVED       an exact metric that is not identical
 
+A change that is meant to alter behaviour passes `--allow-moved`: an
+exact metric whose two sides each repeat but differ from one another is
+then judged by direction and by its BENCHMARK.json bound — `improved
+(exact)`, `worsened (exact, within bound)` (`no bound` for a per-layer
+metric, which declares none), or REGRESSION — and only the last fails
+the run. A side that does not repeat its own value is MOVED either way.
+A side of an exact metric that does repeat prints that value's digits
+in place of median, quartiles and minimum.
+
 `--out` keeps every run made (both sides' full metric sets, in order).
 Exits non-zero on a REGRESSION, a MOVED, a failed operation or
 `correct: false`.
@@ -60,7 +69,7 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4))
 
 
-def judge(parent, change, better, bound, exact):
+def judge(parent, change, better, bound, exact, allow_moved=False):
     """(pairs won by the change, ties, verdict) for one metric."""
     sign = -1.0 if better == "lower" else 1.0
     won = sum(1 for p, c in zip(parent, change) if sign * (c - p) > 0)
@@ -68,7 +77,16 @@ def judge(parent, change, better, bound, exact):
     if len(set(parent + change)) == 1:
         return won, ties, "identical"
     if exact:
-        return won, ties, "MOVED"
+        if not allow_moved or len(set(parent)) > 1 or len(set(change)) > 1:
+            return won, ties, "MOVED"
+        gain = sign * (change[0] - parent[0])
+        if gain > 0:
+            return won, ties, "improved (exact)"
+        if bound is None:
+            return won, ties, "worsened (exact, no bound)"
+        if parent[0] != 0 and -gain / abs(parent[0]) <= bound:
+            return won, ties, "worsened (exact, within bound)"
+        return won, ties, "REGRESSION"
     p1, pm, p3 = quartiles(parent)
     cm = statistics.median(change)
     gain = sign * (cm - pm)
@@ -91,6 +109,8 @@ def main():
     ap.add_argument("--workload", action="append", help="default: every workload in BENCHMARK.json")
     ap.add_argument("--seconds", type=int, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--trace", type=int, default=0, choices=[0, 1], help="1 compares the per-layer ledger")
+    ap.add_argument("--allow-moved", action="store_true",
+                    help="judge an exact metric that differs by direction and bound instead of failing it")
     ap.add_argument("--out", metavar="FILE", help="write every run made as JSON")
     args = ap.parse_args()
 
@@ -134,7 +154,7 @@ def main():
                     continue
                 won, ties, verdict = judge(cols["parent"], cols["change"],
                                            spec_m.get("better", "lower"), spec_m.get("bound"),
-                                           unit in EXACT_UNITS)
+                                           unit in EXACT_UNITS, args.allow_moved)
                 if verdict in ("REGRESSION", "MOVED"):
                     bad.append(f"{workload} seed {seed}: {name} {verdict}")
                 if verdict == "identical":
@@ -143,6 +163,10 @@ def main():
                     continue
                 cells = []
                 for side in ("parent", "change"):
+                    if unit in EXACT_UNITS and len(set(cols[side])) == 1:
+                        # An exact cell that repeats: its digits, no spread.
+                        cells.append(f"{cols[side][0]!r:>34} {'':>9}")
+                        continue
                     q1, med, q3 = quartiles(cols[side])
                     spread = f"{med:.6g} [{q1:.6g}, {q3:.6g}]"
                     cells.append(f"{spread:>34} {min(cols[side]):>9.6g}")

@@ -62,6 +62,12 @@ pub struct HeapObservation {
 pub struct Validation {
     /// Per-heap observations (index 0 = global heap), only heaps in use.
     pub heaps: Vec<HeapObservation>,
+    /// Chunk bytes of large objects out with the program.
+    pub large_live: u64,
+    /// Chunk bytes of freed large objects parked in the pool.
+    pub large_parked: u64,
+    /// High-water mark of `large_live`.
+    pub large_peak: u64,
     /// Human-readable consistency violations (empty = consistent).
     pub errors: Vec<String>,
 }
@@ -440,7 +446,38 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
         ));
     }
 
-    Validation { heaps, errors }
+    // The large pool holds at most what the program itself has had out
+    // at once, and — with the superblocks — accounts for every byte the
+    // source has handed over.
+    let pool = alloc.large_pool();
+    let (large_live, large_parked, large_peak) =
+        (pool.live_bytes(), pool.parked_bytes(), pool.peak_bytes());
+    if large_live + large_parked > large_peak {
+        errors.push(format!(
+            "large pool: live {large_live} + parked {large_parked} above peak {large_peak}"
+        ));
+    }
+    // Chunks the pool abandoned with a corrupt list are leaked, not
+    // lost track of.
+    let superblocks: usize = heaps.iter().map(|h| h.superblocks).sum();
+    let accounted = (superblocks * cfg.superblock_size) as u64
+        + large_live
+        + large_parked
+        + pool.abandoned_bytes();
+    let held = alloc.source().stats().held_current;
+    if held != accounted {
+        errors.push(format!(
+            "source holds {held} bytes, superblocks and large pool account for {accounted}"
+        ));
+    }
+
+    Validation {
+        heaps,
+        errors,
+        large_live,
+        large_parked,
+        large_peak,
+    }
 }
 
 /// [`validate`] as a pass/fail check: `Ok(())` when the allocator is

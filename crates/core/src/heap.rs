@@ -256,6 +256,7 @@ impl Heap {
     /// # Safety
     ///
     /// Lock held; `class < MAX_CLASSES`, `group <= FULLNESS_GROUPS`.
+    #[inline]
     pub unsafe fn group_head(&self, class: usize, group: usize) -> *mut Superblock {
         self.bins[class][group].load(Ordering::Relaxed)
     }

@@ -38,7 +38,7 @@ use crate::tuning::{TuneAction, TuneState, MAX_TUNE_ACTIONS};
 use crate::MAX_HEAPS;
 use hoard_mem::{
     large, read_header, try_read_header, write_header, AllocSnapshot, AllocStats, ChunkSource,
-    HeaderWord, MtAllocator, SizeClassTable, SystemSource, Tag,
+    HeaderWord, LargePool, MtAllocator, SizeClassTable, SystemSource, Tag,
 };
 use hoard_sim::{charge_cost, current_alloc_site, current_proc, now, Cost, VLockGuard};
 use hoard_trace::{
@@ -157,13 +157,18 @@ pub struct HoardAllocator<Src: ChunkSource = SystemSource> {
     heaps: [Heap; MAX_HEAPS + 1],
     stats: AllocStats,
     source: Src,
-    /// Corruption events detected by the hardened paths (always
-    /// present; empty when `hardening` is `Off`).
+    /// Corruption events detected by the hardened paths and by the
+    /// large pool's always-on check of a parked header.
     log: CorruptionLog,
+    /// Freed large chunks, parked for the next request of their page
+    /// count.
+    large: LargePool,
     /// Chunk addresses of live large objects, kept when hardening is
-    /// on. Large chunks return to the OS on free, so — unlike small
-    /// blocks, whose headers are retagged [`Tag::Freed`] in place —
-    /// double frees can only be caught against this registry.
+    /// on. A freed large chunk is parked in `large` or returned to the
+    /// OS, and either way may be live again — or unmapped — by the time
+    /// a second free arrives, so — unlike small blocks, whose headers
+    /// are retagged [`Tag::Freed`] in place — double frees are caught
+    /// against this registry.
     large_live: Mutex<Vec<usize>>,
     recovery: RecoveryStats,
     /// Thread-local front-end: per-virtual-processor magazines of
@@ -245,6 +250,7 @@ impl HoardAllocator<SystemSource> {
             stats: AllocStats::new(),
             source: SystemSource::new(),
             log: CorruptionLog::new(),
+            large: LargePool::new(),
             large_live: Mutex::new(Vec::new()),
             recovery: RecoveryStats::new(),
             frontend: [const { MagazineSlot::new() }; MAG_SLOTS],
@@ -275,6 +281,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             stats: AllocStats::new(),
             source,
             log: CorruptionLog::new(),
+            large: LargePool::new(),
             large_live: Mutex::new(Vec::new()),
             recovery: RecoveryStats::new(),
             frontend: [const { MagazineSlot::new() }; MAG_SLOTS],
@@ -304,6 +311,12 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         &self.source
     }
 
+    /// The large-object pool (its `live`/`parked`/`peak` byte counts and
+    /// its lock's telemetry).
+    pub fn large_pool(&self) -> &LargePool {
+        &self.large
+    }
+
     /// Heap index serving the calling thread: `1 + proc mod P` (heap 0
     /// is the global heap). This is the paper's thread-to-heap hash.
     #[inline]
@@ -325,9 +338,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         (snap.transfers_to_global, snap.transfers_from_global)
     }
 
-    /// Corruption events detected by the hardened deallocation paths
-    /// (always empty when `config.hardening` is
-    /// [`Off`](crate::HardeningLevel::Off)).
+    /// Corruption events detected by the hardened deallocation paths.
+    /// With `config.hardening` [`Off`](crate::HardeningLevel::Off) the
+    /// one check left that can add to it is the large pool's, which
+    /// verifies a parked chunk's header at every level.
     pub fn corruption_log(&self) -> &CorruptionLog {
         &self.log
     }
@@ -1148,13 +1162,23 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// free block, or null.
     #[cold]
     unsafe fn recover_deferred_frees(&self, heap: &Heap, class: usize) -> *mut Superblock {
+        // A drain moves blocks from a deferred stack to a free list and
+        // takes them out of `u`: a stage that left `u` alone freed
+        // nothing, and its re-scan would find what step 1 found.
+        let u = heap.u.load(Relaxed);
         self.drain_full_group_remotes(heap, class);
-        let sb = heap.find_with_free(class);
-        if !sb.is_null() {
-            return sb;
+        if heap.u.load(Relaxed) != u {
+            let sb = heap.find_with_free(class);
+            if !sb.is_null() {
+                return sb;
+            }
         }
+        let u = heap.u.load(Relaxed);
         for group in 0..Superblock::full_group() {
             self.drain_group_remotes(heap, class, group);
+        }
+        if heap.u.load(Relaxed) == u {
+            return std::ptr::null_mut();
         }
         heap.find_with_free(class)
     }
@@ -2176,7 +2200,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
 
     /// Out-of-memory recovery: return every completely empty superblock
     /// — the global heap's pool plus each per-processor heap's K-slack —
-    /// to the chunk source. Returns the number of chunks reclaimed.
+    /// and every parked large chunk to the chunk source. Returns the
+    /// number of chunks reclaimed.
     ///
     /// Locks one heap at a time and never nests, so it may only be
     /// called with **no** heap lock held (the allocation paths call it
@@ -2252,6 +2277,15 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             reclaimed += extra;
         }
+        // Parked large chunks are hoarded memory like any empty
+        // superblock.
+        let parked = self
+            .large
+            .drain(&self.source, |addr| self.report_parked_corruption(addr));
+        if parked > 0 {
+            self.emit(EventKind::OomReclaim, 0, parked);
+        }
+        reclaimed += parked;
         if reclaimed > 0 {
             self.recovery.on_reclaim(reclaimed);
         }
@@ -2352,12 +2386,12 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     self.report_corruption(CorruptionKind::DoubleFree, p as usize, "large object");
                     return;
                 }
-                match large::free_large(&self.source, header.value) {
-                    Some(size) => {
+                match self.large.free(&self.source, header.value) {
+                    Some((size, parked)) => {
                         // No guard on the large path: RMWs on the
                         // shared cell.
                         self.stats.on_free(size as u64, false);
-                        self.emit(EventKind::FreeLarge, 0, size as u64);
+                        self.emit(EventKind::FreeLarge, parked as u32, size as u64);
                     }
                     None => {
                         // Header magic failed after the registry said the
@@ -2381,6 +2415,17 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 );
             }
         }
+    }
+
+    /// A parked large chunk's header was overwritten (a write through a
+    /// stale pointer); the pool has abandoned that bucket's list. The
+    /// check is on at every hardening level, like `free`'s.
+    fn report_parked_corruption(&self, addr: usize) {
+        self.report_corruption(
+            CorruptionKind::BadLargeMagic,
+            addr,
+            "parked large chunk overwritten; its list abandoned",
+        );
     }
 
     /// Lock the large-object registry, tolerating poisoning: a thread
@@ -2531,23 +2576,24 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         match class_for_size {
             Some(class) => self.alloc_small(class),
             None => {
-                let p = match large::alloc_large(&self.source, size) {
-                    Some(p) => p,
+                let corrupt = |addr| self.report_parked_corruption(addr);
+                let (p, hit) = match self.large.alloc(&self.source, size, corrupt) {
+                    Some(got) => got,
                     None => {
                         // OOM recovery, mirroring alloc_small: hand the
                         // hoarded empty superblocks back and retry once.
                         if self.reclaim_empty_superblocks() == 0 {
                             return None;
                         }
-                        let p = large::alloc_large(&self.source, size)?;
+                        let got = self.large.alloc(&self.source, size, corrupt)?;
                         self.recovery.on_rescue();
-                        p
+                        got
                     }
                 };
                 self.large_remember(read_header(p.as_ptr()).value);
                 // No guard on the large path: RMWs on the shared cell.
                 self.stats.on_alloc(size as u64);
-                self.emit(EventKind::AllocLarge, 0, size as u64);
+                self.emit(EventKind::AllocLarge, hit as u32, size as u64);
                 Some(p)
             }
         }
@@ -2595,11 +2641,13 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 self.free_dispatch(sb, ptr.as_ptr());
             }
             Tag::Large => {
-                let size = large::free_large(&self.source, header.value)
+                let (size, parked) = self
+                    .large
+                    .free(&self.source, header.value)
                     .expect("corrupt large-object header");
                 // No guard on the large path: RMWs on the shared cell.
                 self.stats.on_free(size as u64, false);
-                self.emit(EventKind::FreeLarge, 0, size as u64);
+                self.emit(EventKind::FreeLarge, parked as u32, size as u64);
             }
             Tag::Freed | Tag::Baseline | Tag::Offset => {
                 unreachable!("pointer was not allocated by Hoard")
@@ -2614,9 +2662,10 @@ unsafe impl<Src: ChunkSource> Send for HoardAllocator<Src> {}
 unsafe impl<Src: ChunkSource> Sync for HoardAllocator<Src> {}
 
 impl<Src: ChunkSource> Drop for HoardAllocator<Src> {
-    /// Return every owned superblock chunk to the source. Live blocks
-    /// inside them become dangling — the same contract as dropping an
-    /// arena; tests and the harness drop allocators only when idle.
+    /// Return every parked large chunk and every owned superblock chunk
+    /// to the source. Live blocks inside the latter become dangling —
+    /// the same contract as dropping an arena; tests and the harness
+    /// drop allocators only when idle.
     fn drop(&mut self) {
         // Release the attached telemetry Arcs (their other owners — the
         // harness, tests — keep the sink/registry alive independently).
@@ -2636,6 +2685,8 @@ impl<Src: ChunkSource> Drop for HoardAllocator<Src> {
         if !p.is_null() {
             unsafe { drop(Arc::from_raw(p)) };
         }
+        // Safety: `&mut self`; every parked chunk came from `source`.
+        unsafe { self.large.drain(&self.source, |_| ()) };
         for heap in self.heaps.iter() {
             unsafe {
                 // Collected first (freeing invalidates the links), then
@@ -2801,15 +2852,22 @@ mod tests {
 
     #[test]
     fn large_alloc_roundtrip() {
-        let h = hoard();
+        let source = SystemSource::new();
+        let h = HoardAllocator::with_source(HoardConfig::new(), &source).unwrap();
         unsafe {
             let p = h.allocate(100_000).unwrap();
             std::ptr::write_bytes(p.as_ptr(), 0x3C, 100_000);
             assert_eq!(h.usable_size(p), 100_000);
             h.deallocate(p);
+            assert_eq!(h.stats().live_current, 0);
+            assert_eq!(h.stats().held_current, 25 * 4096, "the chunk is parked");
+            let q = h.allocate(100_000).unwrap();
+            assert_eq!(q, p, "and serves the next request of its page count");
+            assert_eq!(source.stats().chunk_allocs, 1, "with no second trip to the source");
+            h.deallocate(q);
         }
-        assert_eq!(h.stats().live_current, 0);
-        assert_eq!(h.stats().held_current, 0, "large chunks go straight back");
+        drop(h);
+        assert_eq!(source.stats().held_current, 0, "drop returns parked chunks");
     }
 
     #[test]

@@ -190,13 +190,19 @@ fn mixed_small_and_large_concurrent() {
         t.join().unwrap();
     }
     assert_eq!(h.stats().live_current, 0);
-    // Only superblocks parked in heaps remain; all large chunks gone.
+    // Only superblocks parked in heaps and large chunks parked in the
+    // pool remain, the latter no more than the threads ever had out.
     let v = debug::validate(&h);
+    assert!(v.is_consistent(), "{:?}", v.errors);
     let superblocks: usize = v.heaps.iter().map(|o| o.superblocks).sum();
     assert_eq!(
         h.stats().held_current,
-        (superblocks * h.config().superblock_size) as u64
+        (superblocks * h.config().superblock_size) as u64 + v.large_parked
     );
+    assert_eq!(v.large_live, 0);
+    assert!(v.large_parked <= v.large_peak);
+    // Six threads, one large object each at a time, 4 pages at most.
+    assert!(v.large_peak <= 6 * 4 * 4096);
 }
 
 #[test]

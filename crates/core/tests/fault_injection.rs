@@ -21,9 +21,13 @@ use hoard_mem::{ChunkSource, FaultPlan, InjectingSource, MtAllocator, SystemSour
 
 /// Sizes covering all paths: repeated small sizes (fast path + free-list
 /// reuse), a spread of classes (superblock acquisition + reformat),
-/// boundary sizes, and large objects (direct chunk path).
-const SIZES: [usize; 14] = [
-    16, 16, 24, 48, 48, 96, 200, 512, 1024, 2048, 4096, 4097, 10_000, 70_000,
+/// boundary sizes, and large objects — recurring ones (parked by the
+/// large pool and handed out again, or released by a miss that must
+/// make room under the peak) and one above the pool's 64 pages (direct
+/// chunk path both ways).
+const SIZES: [usize; 17] = [
+    16, 16, 24, 48, 48, 96, 200, 512, 1024, 2048, 4096, 4097, 10_000, 70_000, 10_000, 300_000,
+    70_000,
 ];
 
 /// Operations per campaign run. Enough to drain and refill superblocks
@@ -195,6 +199,26 @@ fn oom_recovery_rescues_allocations_from_hoarded_empties() {
     let rec = alloc.recovery_stats();
     assert!(rec.chunk_reclaims > 0, "empties were returned to the source");
     assert!(rec.rescued_allocations > 0, "the large request was rescued");
+    debug::check_invariants(&alloc).expect("consistent after recovery");
+    drop(alloc);
+    assert_eq!(source.stats().held_current, 0);
+
+    // The mirror case: parked large chunks hold the budget, and a small
+    // request that needs a superblock is rescued by draining the pool.
+    let source = hoard_mem::LimitedSource::new(SystemSource::new(), 200_000);
+    let alloc = HoardAllocator::with_source(HoardConfig::new(), &source).unwrap();
+    unsafe {
+        // Six 8-page chunks, out at once (so all six may stay parked).
+        let ptrs: Vec<_> = (0..6).map(|_| alloc.allocate(32_000).unwrap()).collect();
+        for p in ptrs {
+            alloc.deallocate(p);
+        }
+        assert_eq!(source.stats().held_current, 6 * 32_768);
+        let p = alloc.allocate(2048).expect("rescued by draining the pool");
+        alloc.deallocate(p);
+    }
+    let rec = alloc.recovery_stats();
+    assert_eq!((rec.chunk_reclaims, rec.rescued_allocations), (6, 1));
     debug::check_invariants(&alloc).expect("consistent after recovery");
     drop(alloc);
     assert_eq!(source.stats().held_current, 0);

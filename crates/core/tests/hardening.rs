@@ -5,12 +5,9 @@
 
 use hoard_core::{debug, CorruptionKind, HardeningLevel, HoardAllocator, HoardConfig};
 use hoard_mem::{
-    read_header, write_header, ChunkSource, HeaderWord, MtAllocator, SourceStats, SystemSource,
-    Tag,
+    read_header, write_header, ChunkSource, HeaderWord, MtAllocator, SystemSource, Tag,
 };
-use std::alloc::Layout;
 use std::ptr::NonNull;
-use std::sync::Mutex;
 
 fn hardened(level: HardeningLevel) -> HoardAllocator {
     HoardAllocator::with_config(HoardConfig::new().with_hardening(level))
@@ -179,65 +176,47 @@ fn corruption_hook_fires_synchronously() {
     assert_eq!(HITS.load(Ordering::Relaxed), 1);
 }
 
-/// A source that parks freed chunks instead of returning them to the
-/// host, so stale headers stay mapped (and readable) after a free —
-/// letting the large-object double-free test dereference its dangling
-/// pointer without undefined behavior.
-struct ParkingSource {
-    inner: SystemSource,
-    parked: Mutex<Vec<(usize, Layout)>>,
-}
-
-impl ParkingSource {
-    fn new() -> Self {
-        ParkingSource {
-            inner: SystemSource::new(),
-            parked: Mutex::new(Vec::new()),
+#[test]
+fn large_double_free_is_detected_via_registry() {
+    for level in [HardeningLevel::Basic, HardeningLevel::Full] {
+        let h = hardened(level);
+        unsafe {
+            let p = h.allocate(100_000).unwrap();
+            h.deallocate(p);
+            // The chunk is parked in the large pool, so its Tag::Large
+            // header is still readable — but the live registry knows it
+            // is gone.
+            h.deallocate(p);
         }
-    }
-}
-
-impl Drop for ParkingSource {
-    fn drop(&mut self) {
-        for (addr, layout) in self.parked.lock().unwrap().drain(..) {
-            unsafe {
-                self.inner
-                    .free_chunk(NonNull::new_unchecked(addr as *mut u8), layout)
-            };
-        }
-    }
-}
-
-unsafe impl ChunkSource for ParkingSource {
-    unsafe fn alloc_chunk(&self, layout: Layout) -> Option<NonNull<u8>> {
-        self.inner.alloc_chunk(layout)
-    }
-
-    unsafe fn free_chunk(&self, ptr: NonNull<u8>, layout: Layout) {
-        self.parked.lock().unwrap().push((ptr.as_ptr() as usize, layout));
-    }
-
-    fn stats(&self) -> SourceStats {
-        self.inner.stats()
+        assert_eq!(h.corruption_log().total(), 1, "{level:?}");
+        assert_eq!(last_kind(&h), Some(CorruptionKind::DoubleFree));
+        debug::check_invariants(&h).expect("consistent after large double free");
     }
 }
 
 #[test]
-fn large_double_free_is_detected_via_registry() {
-    let h = HoardAllocator::with_source(
-        HoardConfig::new().with_hardening(HardeningLevel::Basic),
-        ParkingSource::new(),
-    )
-    .unwrap();
-    unsafe {
-        let p = h.allocate(100_000).unwrap();
-        h.deallocate(p);
-        // The chunk is parked, so its Tag::Large header is still
-        // readable — but the live registry knows it is gone.
-        h.deallocate(p);
-    }
-    assert_eq!(h.corruption_log().total(), 1);
-    assert_eq!(last_kind(&h), Some(CorruptionKind::DoubleFree));
+fn large_double_free_without_hardening_never_reaches_the_source() {
+    // `Off` keeps no registry, but a parked chunk's header no longer
+    // carries the live magic: the always-on check refuses the second
+    // free (a panic, as for any corrupt large header at this level)
+    // before the chunk can go to the source a second time.
+    let source = SystemSource::new();
+    let h = HoardAllocator::with_source(HoardConfig::new(), &source).unwrap();
+    let p = unsafe { h.allocate(100_000).unwrap() };
+    unsafe { h.deallocate(p) };
+    let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
+        h.deallocate(p)
+    }));
+    let cause = second.expect_err("second free refused");
+    let cause = cause
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| cause.downcast_ref::<&str>().copied());
+    assert!(cause.is_some_and(|c| c.contains("corrupt large-object header")), "{cause:?}");
+    assert_eq!(source.stats().chunk_frees, 0);
+    drop(h);
+    let stats = source.stats();
+    assert_eq!((stats.chunk_frees, stats.held_current), (1, 0), "freed once, at drop");
 }
 
 #[test]
@@ -257,6 +236,29 @@ fn corrupt_large_header_is_quarantined_not_freed() {
             "a forged layout must never reach free_chunk"
         );
     }
+}
+
+#[test]
+fn overwritten_parked_large_header_is_reported_and_its_list_abandoned() {
+    let h = hardened(HardeningLevel::Basic);
+    unsafe {
+        let p = h.allocate(50_000).unwrap();
+        let chunk = read_header(p.as_ptr()).value as *mut u64;
+        h.deallocate(p); // parked
+        let held = h.stats().held_current;
+        chunk.write(0xBAD0_BEEF); // use after free reaches the parked header
+        let q = h.allocate(50_000).expect("served by the source instead");
+        assert_ne!(q, p, "the overwritten chunk is never handed out");
+        assert_eq!(last_kind(&h), Some(CorruptionKind::BadLargeMagic));
+        assert_eq!(h.corruption_log().total(), 1);
+        h.deallocate(q);
+        // The abandoned chunk is leaked (still held), not followed —
+        // and still accounted for, so later checks keep their meaning.
+        assert_eq!(h.stats().held_current, 2 * held);
+        assert_eq!(h.large_pool().abandoned_bytes(), held);
+    }
+    assert_eq!(h.stats().live_current, 0);
+    debug::check_invariants(&h).expect("consistent apart from the reported leak");
 }
 
 #[test]

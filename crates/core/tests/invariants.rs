@@ -167,38 +167,57 @@ fn trace_preserves_invariants_with_magazines() {
 }
 
 /// Replay the small-object part of `ops` and check the paper's Theorem,
-/// `A(t) = O(U(t) + P·S)`, with `extra` more bytes of additive slack.
-/// Constants: the size-class factor (1.2) times the inverse emptiness
-/// bound (1/(1-f)) covers the multiplicative part generously with 3x;
-/// each heap (incl. global) may hold K+1 superblocks of slack, plus
-/// per-superblock header overhead absorbed by the additive term.
+/// `A(t) = O(U_small(t) + P·S) + max U_large`, with `extra` more bytes
+/// of additive slack. Constants: the size-class factor (1.2) times the
+/// inverse emptiness bound (1/(1-f)) covers the multiplicative part
+/// generously with 3x; each heap (incl. global) may hold K+1
+/// superblocks of slack, plus per-superblock header overhead absorbed
+/// by the additive term. The large term is exact, not `O(·)`: live plus
+/// parked large chunks never exceed the high-water mark of the live
+/// ones, each a request rounded up to whole pages behind a 64-byte
+/// prefix.
 fn check_blowup(cfg: HoardConfig, ops: &[Op], extra: u64) {
     let h = HoardAllocator::with_config(cfg).unwrap();
     let mut live: Vec<(std::ptr::NonNull<u8>, usize)> = Vec::new();
+    let large_chunk = |size: usize| {
+        if size > cfg.large_threshold() {
+            (size as u64 + 64).next_multiple_of(4096)
+        } else {
+            0
+        }
+    };
+    let (mut u_large, mut max_u_large) = (0u64, 0u64);
     for op in ops {
         match op {
-            Op::Alloc(size) if *size <= cfg.large_threshold() => {
+            Op::Alloc(size) => {
                 let p = unsafe { h.allocate(*size) }.unwrap();
                 live.push((p, *size));
+                u_large += large_chunk(*size);
+                max_u_large = max_u_large.max(u_large);
             }
             Op::Free(raw) if !live.is_empty() => {
-                let (p, _) = live.swap_remove(raw % live.len());
+                let (p, size) = live.swap_remove(raw % live.len());
                 unsafe { h.deallocate(p) };
+                u_large -= large_chunk(size);
             }
-            _ => {}
+            Op::Free(_) => {}
         }
     }
     let snap = h.stats();
     let p_heaps = (cfg.heap_count + 1) as u64;
     let s = cfg.superblock_size as u64;
-    let bound = 3 * snap.live_peak + (cfg.slack_k as u64 + 2) * p_heaps * s + extra;
+    let bound = 3 * snap.live_peak + (cfg.slack_k as u64 + 2) * p_heaps * s + extra + max_u_large;
     assert!(
         snap.held_peak <= bound,
-        "blowup: held_peak={} live_peak={} bound={}",
+        "blowup: held_peak={} live_peak={} max_u_large={} bound={}",
         snap.held_peak,
         snap.live_peak,
+        max_u_large,
         bound
     );
+    let v = debug::validate(&h);
+    assert!(v.is_consistent(), "{:?}", v.errors);
+    assert_eq!((v.large_live, v.large_peak), (u_large, max_u_large));
     for (p, _) in live {
         unsafe { h.deallocate(p) };
     }

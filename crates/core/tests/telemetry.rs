@@ -371,6 +371,32 @@ fn hardening_gauges_surface_through_the_registry() {
 }
 
 #[test]
+fn large_events_say_whether_the_pool_served_them() {
+    let h = HoardAllocator::new_default();
+    let sink = Arc::new(TraceSink::new());
+    h.attach_tracer(Arc::clone(&sink));
+    unsafe {
+        let p = h.allocate(100_000).unwrap(); // miss: the source is asked
+        h.deallocate(p); // parked
+        let q = h.allocate(100_000).unwrap(); // hit
+        let r = h.allocate(400_000).unwrap(); // above the pool's 64 pages
+        h.deallocate(r); // returned to the source
+        h.deallocate(q); // parked
+    }
+    use hoard_core::EventKind::{AllocLarge, FreeLarge};
+    let log = sink.collect();
+    let large: Vec<(hoard_core::EventKind, u32)> = log
+        .iter()
+        .filter(|(_, e)| matches!(e.kind, AllocLarge | FreeLarge))
+        .map(|(_, e)| (e.kind, e.arg0))
+        .collect();
+    assert_eq!(
+        large,
+        [(AllocLarge, 0), (FreeLarge, 1), (AllocLarge, 1), (AllocLarge, 0), (FreeLarge, 0), (FreeLarge, 1)]
+    );
+}
+
+#[test]
 fn attach_replaces_and_drop_releases_the_sink() {
     let sink1 = Arc::new(TraceSink::new());
     let sink2 = Arc::new(TraceSink::new());

@@ -276,6 +276,17 @@ pub fn event_summary(log: &TraceLog) -> Table {
         .iter()
         .map(|tr| format!("proc {}: {}", tr.proc, tr.events.len()))
         .collect();
+    let large_allocs = log.count(EventKind::AllocLarge);
+    let large_frees = log.count(EventKind::FreeLarge);
+    if large_allocs + large_frees > 0 {
+        // `arg0` = 1 marks a pool hit / a park.
+        let pooled = |kind| log.iter().filter(|(_, e)| e.kind == kind && e.arg0 == 1).count();
+        t.push_note(format!(
+            "large pool: {} of {large_allocs} large allocs were hits, {} of {large_frees} large frees parked",
+            pooled(EventKind::AllocLarge),
+            pooled(EventKind::FreeLarge),
+        ));
+    }
     t.push_note(format!(
         "{} events on {} tracks ({}); {} dropped",
         log.total_events(),
@@ -368,5 +379,26 @@ mod tests {
         let report = scope_report(&log, None);
         assert!(report.contains("trace summary"));
         assert!(report.contains("no superblock transfers"));
+    }
+
+    #[test]
+    fn summary_notes_the_large_pool_hit_rate() {
+        let event = |kind, arg0| hoard_core::Event { ts: 0, kind, arg0, arg1: 100_000 };
+        let log = TraceLog {
+            tracks: vec![hoard_core::TrackLog {
+                proc: 0,
+                events: vec![
+                    event(EventKind::AllocLarge, 0),
+                    event(EventKind::FreeLarge, 1),
+                    event(EventKind::AllocLarge, 1),
+                ],
+            }],
+            dropped: 0,
+        };
+        let summary = event_summary(&log).render();
+        assert!(
+            summary.contains("1 of 2 large allocs were hits, 1 of 1 large frees parked"),
+            "{summary}"
+        );
     }
 }

@@ -48,6 +48,7 @@ pub use alloc_vec::AllocVec;
 pub use api::MtAllocator;
 pub use chunk::{ChunkSource, FailingSource, LimitedSource, SourceStats, SystemSource};
 pub use fault::{FaultPlan, InjectingSource};
+pub use large::LargePool;
 pub use header::{read_header, try_read_header, write_header, HeaderWord, Tag, HEADER_SIZE};
 pub use size_class::{SizeClass, SizeClassTable, MAX_CLASSES};
 pub use stats::{AllocSnapshot, AllocStats, MagazineStats, StatsShard, LIVE_GRANT};

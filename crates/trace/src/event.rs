@@ -19,8 +19,9 @@ pub enum EventKind {
     /// Small allocation served lock-free from a thread magazine.
     /// `arg0` = size class, `arg1` = block size in bytes.
     AllocMagazine,
-    /// Large allocation served straight from the chunk source.
-    /// `arg0` = 0, `arg1` = requested bytes.
+    /// Large allocation: its own chunk, from the large pool or the
+    /// chunk source. `arg0` = 1 for a pool hit (0 = the source was
+    /// asked), `arg1` = requested bytes.
     AllocLarge,
     /// Small free applied under the owning heap's lock.
     /// `arg0` = size class, `arg1` = owning heap index.
@@ -28,8 +29,8 @@ pub enum EventKind {
     /// Small free absorbed lock-free by a thread magazine.
     /// `arg0` = size class, `arg1` = 0.
     FreeMagazine,
-    /// Large free returned to the chunk source.
-    /// `arg0` = 0, `arg1` = freed bytes.
+    /// Large free. `arg0` = 1 when the chunk was parked in the large
+    /// pool (0 = returned to the chunk source), `arg1` = freed bytes.
     FreeLarge,
     /// A dry magazine pulled a batch from its heap.
     /// `arg0` = size class, `arg1` = blocks pulled.
@@ -162,7 +163,7 @@ impl EventKind {
     pub fn arg_names(self) -> (&'static str, &'static str) {
         match self {
             EventKind::Alloc | EventKind::AllocMagazine => ("class", "bytes"),
-            EventKind::AllocLarge | EventKind::FreeLarge => ("zero", "bytes"),
+            EventKind::AllocLarge | EventKind::FreeLarge => ("pooled", "bytes"),
             EventKind::Free | EventKind::RemoteFreePush => ("class", "heap"),
             EventKind::FreeMagazine => ("class", "zero"),
             EventKind::MagazineRefill | EventKind::MagazineFlush | EventKind::RemoteFreeDrain => {
