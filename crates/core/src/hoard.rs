@@ -1070,26 +1070,13 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 }
             }
             if Superblock::owner(sb) == hi {
-                let pol = self.policy();
-                let was_f_empty = pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
                 Superblock::free_block(sb, p);
                 // Guard: `_guard` (heap `hi`'s lock).
-                heap.guarded_sub(&heap.u, (*sb).block_size as u64);
-                heap.relink(sb);
-                let crossed = !was_f_empty && pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
-                trigger |= ((*sb).armed && crossed) || too_many_empties;
-                if crossed {
-                    (*sb).armed = false;
-                    self.emit(EventKind::EmptinessCross, hi as u32, 0);
-                }
+                trigger |= self.settle_freed(heap, sb, 1);
             } else {
                 let _ = Superblock::push_remote(sb, p);
             }
         }
-        // Same armed-latch hysteresis as `free_small`: a batch of frees
-        // only restores the invariant when it moved an armed superblock
-        // across the f-emptiness boundary (or hoarded > K empties).
         if trigger {
             self.restore_invariant(heap, hi);
         }
@@ -1099,8 +1086,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// Drain one superblock's deferred remote-free stack into its free
     /// list. Caller holds the owning heap's lock; `sb` is linked there.
     ///
-    /// Returns whether the drain should trigger invariant restoration —
-    /// the same armed-latch hysteresis as `free_small`, evaluated once
+    /// Returns whether the drain should trigger invariant restoration:
+    /// [`settle_freed`](Self::settle_freed)'s verdict, evaluated once
     /// for the whole batch. An unconditional restore here would migrate
     /// a superblock to the global heap on nearly every drain (batched
     /// frees routinely dip `u` below the boundary) only for the next
@@ -1111,27 +1098,15 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if p.is_null() {
             return false;
         }
-        let pol = self.policy();
-        let was_f_empty = pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-        let block_size = (*sb).block_size as u64;
         while !p.is_null() {
             let next = Superblock::remote_next(sb, p);
             Superblock::free_block(sb, p);
             p = next;
         }
-        // Guard: the caller holds `heap`'s lock.
-        heap.guarded_sub(&heap.u, block_size * n as u64);
-        heap.relink(sb);
         self.stats.on_remote_drain();
         self.emit(EventKind::RemoteFreeDrain, (*sb).class, n as u64);
-        let crossed = !was_f_empty && pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-        let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
-        let trigger = ((*sb).armed && crossed) || too_many_empties;
-        if crossed {
-            (*sb).armed = false;
-            self.emit(EventKind::EmptinessCross, Superblock::owner(sb) as u32, 0);
-        }
-        trigger
+        // Guard: the caller holds `heap`'s lock.
+        self.settle_freed(heap, sb, n)
     }
 
     /// Drain deferred stacks parked on `class`'s *full* superblocks —
@@ -2059,8 +2034,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 self.log.on_quarantine();
                 return;
             }
-            let pol = self.policy();
-            let was_f_empty = pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
             Superblock::free_block(sb, payload);
             if self.config.hardening.detects() {
                 // Retag the header so a second free of this pointer is
@@ -2071,10 +2044,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 harden::poison_payload(payload, (*sb).block_size);
             }
             // Guard: `guard` (heap `owner`'s lock — the block's heap,
-            // not necessarily the caller's), for `u` and the shard.
-            heap.guarded_sub(&heap.u, block_size);
-            heap.relink(sb);
-
+            // not necessarily the caller's), for the shard and for
+            // `settle_freed`'s `u`.
             let remote = owner != self.heap_index_for_current_thread();
             self.stats
                 .on_free_in(heap.stats(), block_size, owner == 0 || remote);
@@ -2083,38 +2054,50 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 m.on_free(owner, (*sb).class as usize, false);
             }
 
+            let trigger = self.settle_freed(heap, sb, 1);
             if owner == 0 {
                 self.maybe_release_global_empties(heap);
-            } else {
-                // Emptiness-group hysteresis: only a free that moves its
-                // *armed* superblock across the f-emptiness boundary (or
-                // drains it completely) triggers invariant restoration;
-                // the latch re-arms when the superblock fills back past
-                // the boundary (see `alloc_small`). A heap of steadily
-                // sparse superblocks — or one whose occupancy
-                // random-walks at the boundary — therefore keeps its
-                // superblocks local instead of ping-ponging the marginal
-                // one through the global heap on every operation: the
-                // role the paper assigns to its emptiness groups.
-                let crossed = !was_f_empty
-                    && pol.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                // A completely drained superblock first parks on the
-                // heap's empty list, where *any* size class can recycle
-                // it; only when the heap hoards more than K empties does
-                // the drain trigger restoration (K = the paper's bound on
-                // a heap's free-space slack).
-                let too_many_empties = (*sb).in_use == 0 && heap.empty_count() > pol.slack_k;
-                let trigger = ((*sb).armed && crossed) || too_many_empties || drain_trigger;
-                if crossed {
-                    (*sb).armed = false;
-                    self.emit(EventKind::EmptinessCross, owner as u32, 0);
-                }
-                if trigger {
-                    self.restore_invariant(heap, owner);
-                }
+            } else if trigger || drain_trigger {
+                self.restore_invariant(heap, owner);
             }
             return;
         }
+    }
+
+    /// Book `freed` blocks that just went back onto `sb`'s free list:
+    /// take them out of `u`, re-home `sb`, and say whether the caller
+    /// should restore the emptiness invariant. Caller holds `heap`'s
+    /// lock; `sb` is linked there. The one home of the crossing rule for
+    /// every locked free (a single block, a magazine flush, a drained
+    /// deferred stack).
+    ///
+    /// Emptiness-group hysteresis: only frees that move an *armed*
+    /// superblock across the f-emptiness boundary trigger restoration;
+    /// the latch re-arms when the superblock fills back past the
+    /// boundary (see `alloc_small`). A heap of steadily sparse
+    /// superblocks — or one whose occupancy random-walks at the boundary
+    /// — therefore keeps its superblocks local instead of ping-ponging
+    /// the marginal one through the global heap on every operation: the
+    /// role the paper assigns to its emptiness groups. A completely
+    /// drained superblock first parks on the heap's empty list, where
+    /// *any* size class can recycle it; only when the heap hoards more
+    /// than K empties does the drain trigger restoration (K = the
+    /// paper's bound on a heap's free-space slack).
+    #[inline]
+    unsafe fn settle_freed(&self, heap: &Heap, sb: *mut Superblock, freed: u32) -> bool {
+        let pol = self.policy();
+        let (in_use, capacity) = ((*sb).in_use, (*sb).capacity);
+        let was_f_empty = pol.f_empty_blocks(in_use + freed, capacity);
+        heap.guarded_sub(&heap.u, (*sb).block_size as u64 * freed as u64);
+        heap.relink(sb);
+        let crossed = !was_f_empty && pol.f_empty_blocks(in_use, capacity);
+        let too_many_empties = in_use == 0 && heap.empty_count() > pol.slack_k;
+        let trigger = ((*sb).armed && crossed) || too_many_empties;
+        if crossed {
+            (*sb).armed = false;
+            self.emit(EventKind::EmptinessCross, Superblock::owner(sb) as u32, 0);
+        }
+        trigger
     }
 
     /// Migrate superblocks from heap `hi` to the global heap while the
