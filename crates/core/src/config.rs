@@ -21,7 +21,9 @@ use crate::MAX_HEAPS;
 ///   system-wide memory (the sparseness is inherent to the live-block
 ///   spread, not to heap imbalance). `f = 1/2` sits below the natural
 ///   operating point; the paper's blowup theorem holds for any constant
-///   `f` (`A ≤ U/(1−f) + K·P·S = 2U + K·P·S`).
+///   `f` (`A ≤ U/(1−f) + K·P·S = 2U + K·P·S`). (The churn belonged to
+///   judging partials heap-wide; now that they answer to their own size
+///   class E12 no longer shows it, and returning to 1/4 is open.)
 /// * **`K = 2`** (hysteresis). With `K = 0` a heap whose live set
 ///   hovers near the threshold ping-pongs its active superblock through
 ///   the global heap on every free — visible as inflated transfer

@@ -2,10 +2,12 @@
 //!
 //! [`validate`] takes every heap lock (global last, matching the
 //! allocator's lock order) and performs a full consistency scan:
-//! accounting (`u`/`a` versus the superblocks actually linked), list
-//! placement (each superblock in the fullness group matching its
-//! occupancy), and the emptiness-invariant postcondition. It is O(heap
-//! contents) and meant for tests, not production paths.
+//! accounting (each class's `u_c`/`a_c`, and the heap's `a`, versus the
+//! superblocks actually linked), list placement (each superblock in the
+//! fullness group matching its occupancy), and the emptiness-invariant
+//! postcondition, heap-wide for the empties and per size class for the
+//! partials. It is O(heap contents) and meant for tests, not production
+//! paths.
 //!
 //! Under the lock-free back-end the scan widens to the other two owner
 //! domains: each magazine slot's private mini-heap (claimed like any
@@ -17,7 +19,7 @@
 use crate::hoard::{HoardAllocator, SLOT_OWNER_BASE};
 use crate::magazine::{MagazineSlot, SlotClaim};
 use crate::superblock::Superblock;
-use hoard_mem::{ChunkSource, LIVE_GRANT};
+use hoard_mem::{ChunkSource, LIVE_GRANT, MAX_CLASSES};
 use std::sync::atomic::Ordering::Relaxed;
 
 /// Claim a magazine slot for scanning, spinning out any in-flight
@@ -33,17 +35,38 @@ fn claim_slot(slot: &MagazineSlot) -> SlotClaim<'_> {
     }
 }
 
-/// Observation of one heap during [`validate`].
+/// Observation of one populated size class of a heap during
+/// [`validate`]: the superblocks in its bins (empties belong to no class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassObservation {
+    /// Size class index.
+    pub class: usize,
+    /// Bytes in use per the class's counter (`u_c`).
+    pub u: u64,
+    /// Usable bytes of its linked superblocks per its counter (`a_c`).
+    pub a: u64,
+    /// Whether `u_c ≥ a_c − K·S ∨ u_c ≥ (1−f)·a_c` holds.
+    pub invariant_holds: bool,
+    /// Whether the class still holds an at least `f`-empty superblock.
+    pub has_f_empty_superblock: bool,
+}
+
+/// Observation of one heap during [`validate`].
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeapObservation {
     /// Heap index (0 = global).
     pub index: usize,
-    /// Bytes in use per the heap's counter.
+    /// Bytes in use: the sum of the heap's per-class counters.
     pub u: u64,
     /// Bytes held per the heap's counter.
     pub a: u64,
     /// Superblocks linked in the heap.
     pub superblocks: usize,
+    /// How many of those sit drained on the empty list.
+    pub empties: usize,
+    /// The populated size classes (none for a slot's private heap,
+    /// which keeps one `u`/`a` pair).
+    pub classes: Vec<ClassObservation>,
     /// What the heap holds of the allocator's `live` cell beyond the
     /// program's bytes (the undrawn part of its grant; a slot's private
     /// heap takes none).
@@ -52,9 +75,24 @@ pub struct HeapObservation {
     /// holds (always reported; only *meaningful* for per-processor heaps).
     pub invariant_holds: bool,
     /// Whether the heap still owns a superblock that is at least
-    /// `f`-empty (if the invariant is violated, this must be false — the
-    /// implementation's postcondition).
+    /// `f`-empty, drained ones included.
     pub has_f_empty_superblock: bool,
+}
+
+impl HeapObservation {
+    /// The implementation's postcondition once every superblock has
+    /// crossed (in between, the armed latch may leave it open), stated
+    /// where it binds: a heap violating the heap-wide invariant holds no
+    /// *empty* superblock, and a class violating its own holds no
+    /// f-empty superblock of that class. A slot heap answers to the
+    /// heap-wide form alone.
+    pub fn emptiness_postcondition_holds(&self) -> bool {
+        if self.classes.is_empty() {
+            return self.invariant_holds || !self.has_f_empty_superblock;
+        }
+        let settled = |c: &ClassObservation| c.invariant_holds || !c.has_f_empty_superblock;
+        (self.invariant_holds || self.empties == 0) && self.classes.iter().all(settled)
+    }
 }
 
 /// Result of a full-allocator consistency scan.
@@ -184,6 +222,24 @@ pub unsafe fn block_owner<Src: ChunkSource>(
     }
 }
 
+/// What [`validate`] requires of any superblock wherever it is linked:
+/// intact magic, the owner of the domain `who` that links it, and no
+/// more blocks out than it has.
+unsafe fn check_superblock(who: &str, owner: usize, sb: *mut Superblock, errors: &mut Vec<String>) {
+    if (*sb).magic != crate::superblock::SB_MAGIC {
+        errors.push(format!("{who}: superblock with bad magic"));
+    }
+    if Superblock::owner(sb) != owner {
+        errors.push(format!(
+            "{who}: linked superblock owned by {}",
+            Superblock::owner(sb)
+        ));
+    }
+    if (*sb).in_use > (*sb).capacity {
+        errors.push(format!("{who}: in_use exceeds capacity"));
+    }
+}
+
 /// Scan `alloc` for internal consistency. Takes all heap locks; do not
 /// call concurrently with a thread that holds one (it would deadlock on
 /// the global heap only if that thread also waits on a scanned heap —
@@ -201,33 +257,31 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             break;
         }
         let _guard = heap.lock.lock();
-        let u = heap.u.load(Relaxed);
+        let u = heap.u();
         let a = heap.a.load(Relaxed);
 
-        let mut scanned_used = 0u64;
+        // Per class, what the walk finds in its bins: used bytes, usable
+        // bytes, any f-empty superblock.
+        let mut scanned = [(0u64, 0u64, false); MAX_CLASSES];
         let mut scanned_usable = 0u64;
         let mut scanned_count = 0usize;
+        let mut empties = 0usize;
         let mut has_f_empty = false;
+        let who = format!("heap {index}");
         unsafe {
             heap.for_each_superblock(|sb| {
                 scanned_count += 1;
-                scanned_used += Superblock::used_bytes(sb);
                 scanned_usable += Superblock::usable_bytes(sb);
-                if (*sb).magic != crate::superblock::SB_MAGIC {
-                    errors.push(format!("heap {index}: superblock with bad magic"));
+                if (*sb).group == u8::MAX {
+                    empties += 1;
+                } else {
+                    let c = &mut scanned[(*sb).class as usize];
+                    c.0 += Superblock::used_bytes(sb);
+                    c.1 += Superblock::usable_bytes(sb);
+                    c.2 |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
                 }
-                if Superblock::owner(sb) != index {
-                    errors.push(format!(
-                        "heap {index}: linked superblock owned by {}",
-                        Superblock::owner(sb)
-                    ));
-                }
-                if cfg.f_empty_blocks((*sb).in_use, (*sb).capacity) {
-                    has_f_empty = true;
-                }
-                if (*sb).in_use > (*sb).capacity {
-                    errors.push(format!("heap {index}: in_use exceeds capacity"));
-                }
+                check_superblock(&who, index, sb, &mut errors);
+                has_f_empty |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
                 // Group placement: superblocks on bins must match their
                 // occupancy group; empty-list ones carry the sentinel.
                 let group = (*sb).group;
@@ -251,10 +305,26 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             });
         }
 
-        if scanned_used != u {
-            errors.push(format!(
-                "heap {index}: u counter {u} != scanned used bytes {scanned_used}"
-            ));
+        // `u` is the sum of the `u_c` by construction; what can be wrong
+        // is a class's own gauge. `a` is kept apart from the `a_c`, so
+        // `Σ a_c + empties == a` follows from these checks and the next.
+        let mut classes = Vec::new();
+        for (class, &(used, usable, has_f_empty_superblock)) in scanned.iter().enumerate() {
+            let (u, a) = (heap.class_u(class), heap.class_a(class));
+            if (used, usable) != (u, a) {
+                errors.push(format!(
+                    "{who} class {class}: u_c {u} / a_c {a} != scanned {used} / {usable} bytes"
+                ));
+            }
+            if usable > 0 {
+                classes.push(ClassObservation {
+                    class,
+                    u,
+                    a,
+                    invariant_holds: !cfg.invariant_violated(u, a),
+                    has_f_empty_superblock,
+                });
+            }
         }
         if scanned_usable != a {
             errors.push(format!(
@@ -273,6 +343,8 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             u,
             a,
             superblocks: scanned_count,
+            empties,
+            classes,
             live_headroom,
             invariant_holds: !cfg.invariant_violated(u, a),
             has_f_empty_superblock: has_f_empty,
@@ -307,21 +379,8 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
                 if (*sb).in_use == 0 {
                     drained += 1;
                 }
-                if (*sb).magic != crate::superblock::SB_MAGIC {
-                    errors.push("cache: superblock with bad magic".into());
-                }
-                if Superblock::owner(sb) != 0 {
-                    errors.push(format!(
-                        "cache: cached superblock owned by {}",
-                        Superblock::owner(sb)
-                    ));
-                }
-                if (*sb).in_use > (*sb).capacity {
-                    errors.push("cache: in_use exceeds capacity".into());
-                }
-                if cfg.f_empty_blocks((*sb).in_use, (*sb).capacity) {
-                    has_f_empty = true;
-                }
+                check_superblock("cache", 0, sb, &mut errors);
+                has_f_empty |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
             });
         }
         if alloc.cache().is_empty() != (count == 0) {
@@ -342,6 +401,8 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             u: used,
             a: usable,
             superblocks: count,
+            empties: drained,
+            classes: Vec::new(),
             live_headroom: heaps[0].live_headroom,
             invariant_holds: true, // not meaningful for the cache
             has_f_empty_superblock: has_f_empty,
@@ -356,26 +417,14 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             let mut scanned_count = 0usize;
             let mut empties = 0usize;
             let mut has_f_empty = false;
+            let who = format!("slot {i}");
             unsafe {
                 sh.for_each(|sb| {
                     scanned_count += 1;
                     scanned_used += Superblock::used_bytes(sb);
                     scanned_usable += Superblock::usable_bytes(sb);
-                    if (*sb).magic != crate::superblock::SB_MAGIC {
-                        errors.push(format!("slot {i}: superblock with bad magic"));
-                    }
-                    if Superblock::owner(sb) != index {
-                        errors.push(format!(
-                            "slot {i}: linked superblock owned by {}",
-                            Superblock::owner(sb)
-                        ));
-                    }
-                    if (*sb).in_use > (*sb).capacity {
-                        errors.push(format!("slot {i}: in_use exceeds capacity"));
-                    }
-                    if cfg.f_empty_blocks((*sb).in_use, (*sb).capacity) {
-                        has_f_empty = true;
-                    }
+                    check_superblock(&who, index, sb, &mut errors);
+                    has_f_empty |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
                     // Slots keep no fullness groups: binned superblocks
                     // carry group 0, empty-list ones the sentinel.
                     match (*sb).group {
@@ -428,6 +477,8 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
                     u: sh.u,
                     a: sh.a,
                     superblocks: scanned_count,
+                    empties,
+                    classes: Vec::new(),
                     live_headroom: 0,
                     invariant_holds: !cfg.invariant_violated(sh.u, sh.a),
                     has_f_empty_superblock: has_f_empty,

@@ -8,16 +8,23 @@
 //! superblocks live on a separate per-heap list where any size class can
 //! recycle them (with a reformat).
 //!
+//! The paper states its emptiness invariant for one size class, and so
+//! does this heap: bytes in use are kept per class (`u_c`, beside the
+//! usable bytes `a_c` of the superblocks linked in that class's bins),
+//! and a partial is only evicted by, and from, a class whose own pair is
+//! out of bounds. Heap-wide `u` is the sum of the `u_c`, on request;
+//! heap-wide `a` (the `a_c` plus the empties) governs the empty list.
+//!
 //! Every field except the lock itself is *written* only under
-//! [`Heap::lock`] — the `u`/`a`/`empty_count` gauges and the statistics
-//! shard included, which is why they are updated with a plain load +
-//! store rather than an atomic read-modify-write. The atomics exist to
-//! make the struct `Sync` and cheaply snapshotable (readers need no
-//! lock), not for lock-free algorithms.
+//! [`Heap::lock`] — the `u_c`/`a_c`/`a`/`empty_count` gauges and the
+//! statistics shard included, which is why they are updated with a
+//! plain load + store rather than an atomic read-modify-write. The
+//! atomics exist to make the struct `Sync` and cheaply snapshotable
+//! (readers need no lock), not for lock-free algorithms.
 
 use crate::list;
 use crate::superblock::Superblock;
-use crate::FULLNESS_GROUPS;
+use crate::{HoardConfig, FULLNESS_GROUPS};
 use hoard_mem::{AllocSnapshot, StatsShard, MAX_CLASSES};
 use hoard_sim::{single_writer_add, single_writer_sub, VLock};
 use std::ptr;
@@ -26,21 +33,31 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 /// Sentinel `group` value for superblocks on the empty list.
 const EMPTY_LIST: u8 = u8::MAX;
 
+/// One size class's share of a heap: its gauges beside the list heads
+/// that the call writing `u_c` walks anyway.
+struct ClassBins {
+    /// Bytes in use (`u_c`) in the superblocks linked below, in
+    /// block-size units. Guarded: [`Heap::add_u`] / [`Heap::sub_u`].
+    u: AtomicU64,
+    /// Usable bytes (`a_c`) of the superblocks linked below. Guarded:
+    /// [`Heap::link`] / [`Heap::unlink`] keep it.
+    a: AtomicU64,
+    /// `groups[group]`: list heads; group [`FULLNESS_GROUPS`] holds
+    /// completely full superblocks.
+    groups: [AtomicPtr<Superblock>; FULLNESS_GROUPS + 1],
+}
+
 /// One heap: lock, `u`/`a` accounting, per-class fullness groups and the
 /// empty-superblock recycle list. Cache-line aligned so neighboring
 /// heaps' locks do not false-share.
 #[repr(align(64))]
 pub(crate) struct Heap {
     pub lock: VLock,
-    /// Bytes in use (`u_i`), in block-size units. Guarded by `lock`:
-    /// written through [`guarded_add`](Self::guarded_add) /
-    /// [`guarded_sub`](Self::guarded_sub) only.
-    pub u: AtomicU64,
-    /// Bytes held (`a_i`): superblock_size × owned superblocks. Guarded.
+    /// Bytes held (`a_i`): usable bytes of every owned superblock, the
+    /// empties included. Guarded by `lock`: written through
+    /// [`guarded_add`](Self::guarded_add) / `guarded_sub` only.
     pub a: AtomicU64,
-    /// `bins[class][group]`: list heads; group [`FULLNESS_GROUPS`] holds
-    /// completely full superblocks.
-    bins: [[AtomicPtr<Superblock>; FULLNESS_GROUPS + 1]; MAX_CLASSES],
+    bins: [ClassBins; MAX_CLASSES],
     /// Completely empty superblocks, recyclable by any class.
     empty: AtomicPtr<Superblock>,
     /// Length of `empty` (telemetry and eviction fast path). Guarded.
@@ -54,10 +71,14 @@ impl Heap {
     pub const fn new() -> Self {
         Heap {
             lock: VLock::new(),
-            u: AtomicU64::new(0),
             a: AtomicU64::new(0),
-            bins: [const { [const { AtomicPtr::new(ptr::null_mut()) }; FULLNESS_GROUPS + 1] };
-                MAX_CLASSES],
+            bins: [const {
+                ClassBins {
+                    u: AtomicU64::new(0),
+                    a: AtomicU64::new(0),
+                    groups: [const { AtomicPtr::new(ptr::null_mut()) }; FULLNESS_GROUPS + 1],
+                }
+            }; MAX_CLASSES],
             empty: AtomicPtr::new(ptr::null_mut()),
             empty_count: AtomicU64::new(0),
             stats: StatsShard::new(),
@@ -71,8 +92,8 @@ impl Heap {
         self.empty_count.load(Ordering::Relaxed) as usize
     }
 
-    /// `gauge += n` for one of this heap's guarded gauges (`u`, `a`,
-    /// `empty_count`). Lock held — asserted here, the one place — so
+    /// `gauge += n` for one of this heap's guarded gauges (`u_c`, `a_c`,
+    /// `a`, `empty_count`). Lock held — asserted here, the one place — so
     /// the holder is the only writer and a load + store replaces the
     /// RMW.
     #[inline]
@@ -86,6 +107,37 @@ impl Heap {
     pub fn guarded_sub(&self, gauge: &AtomicU64, n: u64) {
         self.lock.debug_assert_held("heap gauge written");
         single_writer_sub(gauge, n);
+    }
+
+    /// `u_c += n` for blocks of `class` handed out (or arriving inside
+    /// a migrating superblock). Lock held.
+    #[inline]
+    pub fn add_u(&self, class: usize, n: u64) {
+        self.guarded_add(&self.bins[class].u, n);
+    }
+
+    /// `u_c -= n`; as for [`add_u`](Self::add_u).
+    #[inline]
+    pub fn sub_u(&self, class: usize, n: u64) {
+        self.guarded_sub(&self.bins[class].u, n);
+    }
+
+    /// Bytes in use in `class` (`u_c`). Exact for the lock holder.
+    #[inline]
+    pub fn class_u(&self, class: usize) -> u64 {
+        self.bins[class].u.load(Ordering::Relaxed)
+    }
+
+    /// Usable bytes of the superblocks linked in `class`'s bins (`a_c`).
+    #[inline]
+    pub fn class_a(&self, class: usize) -> u64 {
+        self.bins[class].a.load(Ordering::Relaxed)
+    }
+
+    /// Heap-wide bytes in use (`u_i`): one load per class, so for the
+    /// trigger path and for observers, not for every `malloc` or `free`.
+    pub fn u(&self) -> u64 {
+        self.bins.iter().map(|b| b.u.load(Ordering::Relaxed)).sum()
     }
 
     /// The statistics shard, for the lock holder to write.
@@ -117,7 +169,9 @@ impl Heap {
     pub unsafe fn link(&self, sb: *mut Superblock) {
         let group = Superblock::fullness_group(sb);
         (*sb).group = group as u8;
-        list::push_front(&self.bins[(*sb).class as usize][group], sb);
+        let bins = &self.bins[(*sb).class as usize];
+        self.guarded_add(&bins.a, Superblock::usable_bytes(sb));
+        list::push_front(&bins.groups[group], sb);
     }
 
     /// Unlink `sb` from whichever list it is on (fullness bin or empty
@@ -132,7 +186,9 @@ impl Heap {
             list::remove(&self.empty, sb);
             self.guarded_sub(&self.empty_count, 1);
         } else {
-            list::remove(&self.bins[(*sb).class as usize][(*sb).group as usize], sb);
+            let bins = &self.bins[(*sb).class as usize];
+            self.guarded_sub(&bins.a, Superblock::usable_bytes(sb));
+            list::remove(&bins.groups[(*sb).group as usize], sb);
         }
     }
 
@@ -152,9 +208,10 @@ impl Heap {
         }
         let new_group = Superblock::fullness_group(sb);
         if new_group != (*sb).group as usize {
-            list::remove(&self.bins[(*sb).class as usize][(*sb).group as usize], sb);
+            let groups = &self.bins[(*sb).class as usize].groups;
+            list::remove(&groups[(*sb).group as usize], sb);
             (*sb).group = new_group as u8;
-            list::push_front(&self.bins[(*sb).class as usize][new_group], sb);
+            list::push_front(&groups[new_group], sb);
         }
     }
 
@@ -212,7 +269,7 @@ impl Heap {
     #[inline]
     pub unsafe fn find_with_free(&self, class: usize) -> *mut Superblock {
         for group in (0..FULLNESS_GROUPS).rev() {
-            let head = self.bins[class][group].load(Ordering::Relaxed);
+            let head = self.bins[class].groups[group].load(Ordering::Relaxed);
             if !head.is_null() {
                 debug_assert!(Superblock::has_free(head));
                 return head;
@@ -221,33 +278,22 @@ impl Heap {
         ptr::null_mut()
     }
 
-    /// Remove and return the emptiest superblock that is at least
-    /// `f`-empty (per `cfg`), for migration to the global heap; null when
-    /// none qualifies. Also returns its used bytes.
+    /// Remove and return the emptiest superblock of `class` that is at
+    /// least `f`-empty (per `cfg`), for migration to the global heap;
+    /// null when none qualifies.
     ///
     /// # Safety
     ///
-    /// Lock held.
-    pub unsafe fn take_emptiest(&self, cfg: &crate::HoardConfig) -> (*mut Superblock, u64) {
-        // Completely empty superblocks first: cheapest to migrate.
-        let sb = self.pop_empty();
-        if !sb.is_null() {
-            return (sb, 0);
-        }
-        // Then scan fullness groups from emptiest upward.
+    /// Lock held; `class < MAX_CLASSES`.
+    pub unsafe fn take_emptiest(&self, class: usize, cfg: &HoardConfig) -> *mut Superblock {
         for group in 0..FULLNESS_GROUPS {
-            for class_bins in self.bins.iter() {
-                let head = class_bins[group].load(Ordering::Relaxed);
-                if head.is_null() {
-                    continue;
-                }
-                if cfg.f_empty_blocks((*head).in_use, (*head).capacity) {
-                    list::remove(&class_bins[group], head);
-                    return (head, Superblock::used_bytes(head));
-                }
+            let head = self.group_head(class, group);
+            if !head.is_null() && cfg.f_empty_blocks((*head).in_use, (*head).capacity) {
+                self.unlink(head);
+                return head;
             }
         }
-        (ptr::null_mut(), 0)
+        ptr::null_mut()
     }
 
     /// Head of the `bins[class][group]` list (null when empty). The
@@ -258,7 +304,7 @@ impl Heap {
     /// Lock held; `class < MAX_CLASSES`, `group <= FULLNESS_GROUPS`.
     #[inline]
     pub unsafe fn group_head(&self, class: usize, group: usize) -> *mut Superblock {
-        self.bins[class][group].load(Ordering::Relaxed)
+        self.bins[class].groups[group].load(Ordering::Relaxed)
     }
 
     /// First linked superblock with a pending deferred remote-free
@@ -272,7 +318,7 @@ impl Heap {
     /// Lock held.
     pub unsafe fn find_remote_pending(&self) -> *mut Superblock {
         for class_bins in self.bins.iter() {
-            for head in class_bins.iter() {
+            for head in class_bins.groups.iter() {
                 let mut cur = head.load(Ordering::Relaxed);
                 while !cur.is_null() {
                     if Superblock::remote_pending(cur) {
@@ -294,7 +340,7 @@ impl Heap {
     pub unsafe fn superblock_count(&self) -> usize {
         let mut n = self.empty_count();
         for class_bins in self.bins.iter() {
-            for head in class_bins.iter() {
+            for head in class_bins.groups.iter() {
                 n += list::len(head);
             }
         }
@@ -313,7 +359,7 @@ impl Heap {
             cur = (*cur).next;
         }
         for class_bins in self.bins.iter() {
-            for head in class_bins.iter() {
+            for head in class_bins.groups.iter() {
                 let mut cur = head.load(Ordering::Relaxed);
                 while !cur.is_null() {
                     f(cur);
@@ -327,7 +373,6 @@ impl Heap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HoardConfig;
     use std::alloc::Layout;
 
     const S: usize = 8192;
@@ -414,7 +459,7 @@ mod tests {
     }
 
     #[test]
-    fn take_emptiest_prefers_empty_then_f_empty() {
+    fn take_emptiest_stays_inside_its_class() {
         let cfg = HoardConfig::new().with_empty_fraction(1, 4);
         let heap = Heap::new();
         let _held = heap.lock.lock();
@@ -422,30 +467,41 @@ mod tests {
             let empty = make_sb(0, 8);
             let nearly_full = make_sb(0, 8);
             let sparse = make_sb(1, 16);
+            let sparser = make_sb(1, 16);
             // nearly_full: fill above 1-f occupancy.
             let cap = (*nearly_full).capacity;
             for _ in 0..(cap as usize * 9 / 10) {
                 Superblock::alloc_block(nearly_full);
             }
-            // sparse: a couple of blocks.
-            Superblock::alloc_block(sparse);
-            Superblock::alloc_block(sparse);
-            heap.place(empty);
-            heap.place(nearly_full);
-            heap.place(sparse);
+            for _ in 0..(*sparse).capacity / 2 {
+                Superblock::alloc_block(sparse);
+            }
+            Superblock::alloc_block(sparser);
+            Superblock::alloc_block(sparser);
+            for sb in [empty, nearly_full, sparse, sparser] {
+                heap.place(sb);
+            }
+            assert_eq!(heap.class_a(0), Superblock::usable_bytes(nearly_full));
+            assert_eq!(heap.class_a(1), 2 * Superblock::usable_bytes(sparse));
 
-            let (first, used) = heap.take_emptiest(&cfg);
-            assert_eq!(first, empty);
-            assert_eq!(used, 0);
-            let (second, used2) = heap.take_emptiest(&cfg);
-            assert_eq!(second, sparse, "sparse is f-empty, nearly_full is not");
-            assert_eq!(used2, 32);
-            let (third, _) = heap.take_emptiest(&cfg);
-            assert!(third.is_null(), "nearly_full must not be evicted");
+            // Class 0 has nothing f-empty in its bins: neither class 1's
+            // sparse superblocks nor the class-less empty answer for it.
+            let none = heap.take_emptiest(0, &cfg);
+            assert!(none.is_null(), "nearly_full must not be evicted");
+            assert_eq!(heap.empty_count(), 1, "empties are not take_emptiest's");
+            // Class 1 gives up its emptiest first, then the other.
+            assert_eq!(heap.take_emptiest(1, &cfg), sparser);
+            assert_eq!(heap.class_a(1), Superblock::usable_bytes(sparse));
+            let second = heap.take_emptiest(1, &cfg);
+            assert_eq!(second, sparse, "half full is still f-empty at f = 1/4");
+            assert!(heap.take_emptiest(1, &cfg).is_null());
+            assert_eq!(heap.class_a(1), 0);
             heap.unlink(nearly_full);
-            drop_sb(empty);
-            drop_sb(nearly_full);
-            drop_sb(sparse);
+            assert_eq!(heap.class_a(0), 0);
+            assert_eq!(heap.pop_empty(), empty);
+            for sb in [empty, nearly_full, sparse, sparser] {
+                drop_sb(sb);
+            }
         }
     }
 

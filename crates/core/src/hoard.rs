@@ -243,25 +243,7 @@ impl HoardAllocator<SystemSource> {
         if config.validate().is_err() {
             panic!("invalid Hoard configuration");
         }
-        HoardAllocator {
-            config,
-            classes: SizeClassTable::for_superblock_size(config.superblock_size),
-            heaps: [const { Heap::new() }; MAX_HEAPS + 1],
-            stats: AllocStats::new(),
-            source: SystemSource::new(),
-            log: CorruptionLog::new(),
-            large: LargePool::new(),
-            large_live: Mutex::new(Vec::new()),
-            recovery: RecoveryStats::new(),
-            frontend: [const { MagazineSlot::new() }; MAG_SLOTS],
-            cache: GlobalCache::new(),
-            registry: SuperblockRegistry::new(),
-            tracer: AtomicPtr::new(std::ptr::null_mut()),
-            metrics: AtomicPtr::new(std::ptr::null_mut()),
-            recorder: AtomicPtr::new(std::ptr::null_mut()),
-            profiler: AtomicPtr::new(std::ptr::null_mut()),
-            tuning: TuneState::for_config(&config),
-        }
+        Self::build(config, SystemSource::new())
     }
 }
 
@@ -274,7 +256,12 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// inconsistent.
     pub fn with_source(config: HoardConfig, source: Src) -> Result<Self, crate::ConfigError> {
         config.validate()?;
-        Ok(HoardAllocator {
+        Ok(Self::build(config, source))
+    }
+
+    /// The one struct literal; `config` already validated.
+    const fn build(config: HoardConfig, source: Src) -> Self {
+        HoardAllocator {
             config,
             classes: SizeClassTable::for_superblock_size(config.superblock_size),
             heaps: [const { Heap::new() }; MAX_HEAPS + 1],
@@ -292,7 +279,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             recorder: AtomicPtr::new(std::ptr::null_mut()),
             profiler: AtomicPtr::new(std::ptr::null_mut()),
             tuning: TuneState::for_config(&config),
-        })
+        }
     }
 
     /// This allocator's configuration.
@@ -551,7 +538,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             classes.sort_by_key(|c| c.class);
             heaps.push(HeapMapHeap {
                 index: hi,
-                live_bytes: heap.u.load(Relaxed),
+                live_bytes: heap.u(),
                 held_bytes: heap.a.load(Relaxed),
                 empty_superblocks: heap.empty_count(),
                 classes,
@@ -845,7 +832,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     unsafe fn refill_magazine(&self, class: usize, mag: &mut Magazine) -> usize {
         self.maybe_tune();
         let block_size = self.classes.class(class).block_size;
-        let s = self.config.superblock_size;
         let hi = self.heap_index_for_current_thread();
         let heap = &self.heaps[hi];
         let _guard = self.lock_heap(heap, hi);
@@ -864,21 +850,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         let mut escalated = false;
         while got < want {
             // The same four-step waterfall as `alloc_small_attempt`.
+            // Guard: `_guard` (heap `hi`'s lock), for every `heap` update.
             let mut sb = heap.find_with_free(class);
             if sb.is_null() {
-                sb = heap.pop_empty();
-                if !sb.is_null() {
-                    if (*sb).class as usize != class {
-                        let before = Superblock::usable_bytes(sb);
-                        Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
-                        let after = Superblock::usable_bytes(sb);
-                        // Guard: `_guard` (heap `hi`'s lock), as for
-                        // every `heap` update in this function.
-                        heap.guarded_add(&heap.a, after);
-                        heap.guarded_sub(&heap.a, before);
-                    }
-                    heap.link(sb);
-                }
+                sb = self.recycle_empty(heap, class, block_size);
             }
             if sb.is_null() && !escalated {
                 // Cross-thread churn parks blocks on partially-full
@@ -893,19 +868,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 sb = self.fetch_from_global(heap, hi, class, block_size);
             }
             if sb.is_null() {
-                let Some(chunk) = self.alloc_sb_chunk() else {
-                    break;
-                };
-                sb = Superblock::init(
-                    chunk.as_ptr(),
-                    s,
-                    class as u32,
-                    block_size,
-                    hi,
-                    self.block_extra(),
-                );
-                heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
-                heap.link(sb);
+                sb = self.fresh_superblock(heap, hi, class);
+            }
+            if sb.is_null() {
+                break;
             }
             if Superblock::remote_pending(sb) {
                 // Draining can re-home `sb` — onto the empty list when
@@ -929,7 +895,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 taken += 1;
                 got += 1;
             }
-            heap.guarded_add(&heap.u, taken * block_size as u64);
+            heap.add_u(class, taken * block_size as u64);
             heap.relink(sb);
             if !self.policy().f_empty_blocks((*sb).in_use, (*sb).capacity) {
                 (*sb).armed = true;
@@ -940,7 +906,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         // allocations, and restoring unconditionally here ping-pongs
         // marginal superblocks through the global heap.
         if trigger {
-            self.restore_invariant(heap, hi);
+            self.restore_invariant(heap, hi, class);
         }
         got
     }
@@ -1078,7 +1044,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
         }
         if trigger {
-            self.restore_invariant(heap, hi);
+            self.restore_invariant(heap, hi, class);
         }
         n
     }
@@ -1086,13 +1052,11 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// Drain one superblock's deferred remote-free stack into its free
     /// list. Caller holds the owning heap's lock; `sb` is linked there.
     ///
-    /// Returns whether the drain should trigger invariant restoration:
-    /// [`settle_freed`](Self::settle_freed)'s verdict, evaluated once
-    /// for the whole batch. An unconditional restore here would migrate
-    /// a superblock to the global heap on nearly every drain (batched
-    /// frees routinely dip `u` below the boundary) only for the next
-    /// refill to fetch it straight back: transfer ping-pong that costs
-    /// more than the locks the front-end saves.
+    /// Returns [`settle_freed`](Self::settle_freed)'s verdict on the
+    /// whole batch. An unconditional restore here would migrate a
+    /// superblock to the global heap on nearly every drain only for the
+    /// next refill to fetch it straight back: transfer ping-pong that
+    /// costs more than the locks the front-end saves.
     unsafe fn drain_remote_locked(&self, heap: &Heap, sb: *mut Superblock) -> bool {
         let (mut p, n) = Superblock::take_remote(sb);
         if p.is_null() {
@@ -1138,21 +1102,21 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     #[cold]
     unsafe fn recover_deferred_frees(&self, heap: &Heap, class: usize) -> *mut Superblock {
         // A drain moves blocks from a deferred stack to a free list and
-        // takes them out of `u`: a stage that left `u` alone freed
+        // takes them out of `u_c`: a stage that left it alone freed
         // nothing, and its re-scan would find what step 1 found.
-        let u = heap.u.load(Relaxed);
+        let u = heap.class_u(class);
         self.drain_full_group_remotes(heap, class);
-        if heap.u.load(Relaxed) != u {
+        if heap.class_u(class) != u {
             let sb = heap.find_with_free(class);
             if !sb.is_null() {
                 return sb;
             }
         }
-        let u = heap.u.load(Relaxed);
+        let u = heap.class_u(class);
         for group in 0..Superblock::full_group() {
             self.drain_group_remotes(heap, class, group);
         }
-        if heap.u.load(Relaxed) == u {
+        if heap.class_u(class) == u {
             return std::ptr::null_mut();
         }
         heap.find_with_free(class)
@@ -1268,8 +1232,12 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 self.drain_all_remotes_locked(heap);
                 if hi == 0 {
                     self.maybe_release_global_empties(heap);
-                } else {
-                    self.restore_invariant(heap, hi);
+                    continue;
+                }
+                // No free to name a class: every class answers for its
+                // own partials (the empties go with the first call).
+                for class in 0..self.classes.len() {
+                    self.restore_invariant(heap, hi, class);
                 }
             }
             if self.lockfree() {
@@ -1537,7 +1505,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             return; // migrated while we were locking; its new owner drains
         }
         if self.drain_remote_locked(heap, sb) {
-            self.restore_invariant(heap, owner);
+            self.restore_invariant(heap, owner, (*sb).class as usize);
         }
         drop(guard);
     }
@@ -1773,7 +1741,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
 
     unsafe fn alloc_small_attempt(&self, class: usize) -> Option<NonNull<u8>> {
         let block_size = self.classes.class(class).block_size;
-        let s = self.config.superblock_size;
         let hi = self.heap_index_for_current_thread();
         let heap = &self.heaps[hi];
         let _guard = self.lock_heap(heap, hi);
@@ -1788,21 +1755,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         }
 
         // 2. Recycle one of our own empty superblocks (any class).
+        // Guard: `_guard` (heap `hi`'s lock), for every `heap` update.
         if sb.is_null() {
-            sb = heap.pop_empty();
-            if !sb.is_null() {
-                if (*sb).class as usize != class {
-                    // Reformatting changes payload capacity: adjust `a`.
-                    let before = Superblock::usable_bytes(sb);
-                    Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
-                    let after = Superblock::usable_bytes(sb);
-                    // Guard: `_guard` (heap `hi`'s lock), as for every
-                    // `heap` update in this function.
-                    heap.guarded_add(&heap.a, after);
-                    heap.guarded_sub(&heap.a, before);
-                }
-                heap.link(sb);
-            }
+            sb = self.recycle_empty(heap, class, block_size);
         }
 
         // 3. Ask the global heap for a superblock of this class (or an
@@ -1813,17 +1768,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
 
         // 4. Fresh superblock from the OS.
         if sb.is_null() {
-            let chunk = self.alloc_sb_chunk()?;
-            sb = Superblock::init(
-                chunk.as_ptr(),
-                s,
-                class as u32,
-                block_size,
-                hi,
-                self.block_extra(),
-            );
-            heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
-            heap.link(sb);
+            sb = self.fresh_superblock(heap, hi, class);
+        }
+        if sb.is_null() {
+            return None;
         }
 
         // In Full mode a block coming off the free list still carries
@@ -1843,7 +1791,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if self.config.hardening.poisons() {
             harden::write_canary(payload, block_size);
         }
-        heap.guarded_add(&heap.u, block_size as u64);
+        heap.add_u(class, block_size as u64);
         heap.relink(sb);
         // Re-arm the eviction latch once the superblock fills back past
         // the f-emptiness boundary (see `free_small`).
@@ -1859,6 +1807,37 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         Some(NonNull::new_unchecked(payload))
     }
 
+    /// Step 2 of `malloc`: recycle one of `heap`'s own empties for
+    /// `class`, reformatting one that last served another (its payload
+    /// capacity, hence `a`, changes). Linked, or null. `heap` locked.
+    unsafe fn recycle_empty(&self, heap: &Heap, class: usize, block_size: u32) -> *mut Superblock {
+        let sb = heap.pop_empty();
+        if sb.is_null() {
+            return sb;
+        }
+        if (*sb).class as usize != class {
+            heap.guarded_sub(&heap.a, Superblock::usable_bytes(sb));
+            let s = self.config.superblock_size;
+            Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
+            heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
+        }
+        heap.link(sb);
+        sb
+    }
+
+    /// Step 4 of `malloc`: a fresh superblock of `class` from the chunk
+    /// source, linked into `heap` (locked); null when the source refuses.
+    unsafe fn fresh_superblock(&self, heap: &Heap, hi: usize, class: usize) -> *mut Superblock {
+        let Some(chunk) = self.alloc_sb_chunk() else {
+            return std::ptr::null_mut();
+        };
+        let (s, size) = (self.config.superblock_size, self.classes.class(class).block_size);
+        let sb = Superblock::init(chunk.as_ptr(), s, class as u32, size, hi, self.block_extra());
+        heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
+        heap.link(sb);
+        sb
+    }
+
     /// Step 3 of `malloc`: while holding heap `hi`'s lock, move one
     /// suitable superblock over from the global domain — the locked
     /// global heap, or the lock-free cache. Returns the superblock
@@ -1870,48 +1849,27 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         class: usize,
         block_size: u32,
     ) -> *mut Superblock {
-        if self.lockfree() {
+        let sb = if self.lockfree() {
             let mut sb = self.cache.pop_partial(class);
             if sb.is_null() {
                 sb = self.cache.pop_empty();
-                if !sb.is_null() && (*sb).class as usize != class {
-                    Superblock::reformat(
-                        sb,
-                        self.config.superblock_size,
-                        class as u32,
-                        block_size,
-                        self.block_extra(),
-                    );
-                }
             }
             if sb.is_null() {
                 return sb;
             }
             charge_cost(Cost::AtomicRmw);
             Superblock::set_owner(sb, hi);
-            let used = Superblock::used_bytes(sb);
-            // Guard: the caller holds `heap`'s lock.
-            heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
-            heap.guarded_add(&heap.u, used);
-            heap.link(sb);
-            self.stats.on_transfer_from_global();
-            charge_cost(Cost::SuperblockTransfer);
-            let pct = fullness_pct(sb);
-            self.emit(EventKind::TransferFromGlobal, hi as u32, pct);
-            if let Some(m) = self.metrics_ref() {
-                m.on_transfer_from_global(hi, pct);
-            }
-            return sb;
-        }
-        let global = &self.heaps[0];
-        // The global lock covers only list surgery, accounting, and the
-        // ownership handoff; the (comparatively expensive) reformat
-        // runs after it drops. Ownership *must* transfer under the
-        // lock: a concurrent free still reading owner 0 would lock heap
-        // 0 and relink the already-unlinked superblock there. Once the
-        // owner reads `hi`, such frees serialize on heap `hi`'s lock —
-        // which the caller holds for the duration of the reformat.
-        let sb = {
+            sb
+        } else {
+            // The global lock covers only list surgery, accounting, and
+            // the ownership handoff; the (comparatively expensive)
+            // reformat runs after it drops. Ownership *must* transfer
+            // under the lock: a concurrent free still reading owner 0
+            // would lock heap 0 and relink the already-unlinked
+            // superblock there. Once the owner reads `hi`, such frees
+            // serialize on heap `hi`'s lock — which the caller holds for
+            // the duration of the reformat.
+            let global = &self.heaps[0];
             let _g0 = self.lock_heap(global, 0);
             let found = global.find_with_free(class);
             let sb = if !found.is_null() {
@@ -1927,24 +1885,19 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             // geometry; ours is credited at the new one below.
             // Guard: `_g0` (the global heap's lock).
             global.guarded_sub(&global.a, Superblock::usable_bytes(sb));
-            global.guarded_sub(&global.u, Superblock::used_bytes(sb));
+            global.sub_u((*sb).class as usize, Superblock::used_bytes(sb));
             Superblock::set_owner(sb, hi);
             sb
         };
         if (*sb).class as usize != class {
             debug_assert_eq!((*sb).in_use, 0, "only empty superblocks reformat");
-            Superblock::reformat(
-                sb,
-                self.config.superblock_size,
-                class as u32,
-                block_size,
-                self.block_extra(),
-            );
+            let s = self.config.superblock_size;
+            Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
         }
         let used = Superblock::used_bytes(sb);
         // Guard: the caller holds `heap`'s lock.
         heap.guarded_add(&heap.a, Superblock::usable_bytes(sb));
-        heap.guarded_add(&heap.u, used);
+        heap.add_u(class, used);
         heap.link(sb);
         self.stats.on_transfer_from_global();
         charge_cost(Cost::SuperblockTransfer);
@@ -2058,37 +2011,34 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             if owner == 0 {
                 self.maybe_release_global_empties(heap);
             } else if trigger || drain_trigger {
-                self.restore_invariant(heap, owner);
+                self.restore_invariant(heap, owner, (*sb).class as usize);
             }
             return;
         }
     }
 
-    /// Book `freed` blocks that just went back onto `sb`'s free list:
-    /// take them out of `u`, re-home `sb`, and say whether the caller
-    /// should restore the emptiness invariant. Caller holds `heap`'s
-    /// lock; `sb` is linked there. The one home of the crossing rule for
-    /// every locked free (a single block, a magazine flush, a drained
-    /// deferred stack).
+    /// Book `freed` blocks that just went back onto `sb`'s free list
+    /// (one block, a magazine flush, a drained deferred stack): take
+    /// them out of `u_c`, re-home `sb`, and say whether the caller should
+    /// restore the emptiness invariant. Caller holds `heap`'s lock; `sb`
+    /// is linked there.
     ///
     /// Emptiness-group hysteresis: only frees that move an *armed*
     /// superblock across the f-emptiness boundary trigger restoration;
-    /// the latch re-arms when the superblock fills back past the
-    /// boundary (see `alloc_small`). A heap of steadily sparse
-    /// superblocks — or one whose occupancy random-walks at the boundary
-    /// — therefore keeps its superblocks local instead of ping-ponging
-    /// the marginal one through the global heap on every operation: the
-    /// role the paper assigns to its emptiness groups. A completely
-    /// drained superblock first parks on the heap's empty list, where
-    /// *any* size class can recycle it; only when the heap hoards more
-    /// than K empties does the drain trigger restoration (K = the
-    /// paper's bound on a heap's free-space slack).
+    /// the latch re-arms when the superblock fills back past it (see
+    /// `alloc_small`). A heap whose occupancy random-walks at the
+    /// boundary therefore keeps its superblocks instead of ping-ponging
+    /// the marginal one through the global heap: the role the paper
+    /// assigns to its emptiness groups. A drained superblock first parks
+    /// on the heap's empty list, where any size class can recycle it;
+    /// only a heap hoarding more than K empties (the paper's bound on a
+    /// heap's free-space slack) triggers on a drain.
     #[inline]
     unsafe fn settle_freed(&self, heap: &Heap, sb: *mut Superblock, freed: u32) -> bool {
         let pol = self.policy();
         let (in_use, capacity) = ((*sb).in_use, (*sb).capacity);
         let was_f_empty = pol.f_empty_blocks(in_use + freed, capacity);
-        heap.guarded_sub(&heap.u, (*sb).block_size as u64 * freed as u64);
+        heap.sub_u((*sb).class as usize, (*sb).block_size as u64 * freed as u64);
         heap.relink(sb);
         let crossed = !was_f_empty && pol.f_empty_blocks(in_use, capacity);
         let too_many_empties = in_use == 0 && heap.empty_count() > pol.slack_k;
@@ -2101,39 +2051,46 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     }
 
     /// Migrate superblocks from heap `hi` to the global heap while the
-    /// emptiness invariant is violated: *completely empty* superblocks
-    /// may migrate freely (they hold no live blocks, so moving them can
-    /// never cause remote frees or fetch-back thrash), but at most one
-    /// *partially filled* f-empty superblock moves per triggering free —
-    /// the paper's "transfer a superblock that is at least f empty"
-    /// step. Combined with the crossing trigger this converges to the
-    /// invariant at quiescence (every superblock that drains produces a
-    /// triggering event) without bursts of migration in sparse steady
-    /// states. Caller holds heap `hi`'s lock.
-    unsafe fn restore_invariant(&self, heap: &Heap, hi: usize) {
+    /// emptiness invariant is violated. *Completely empty* superblocks
+    /// answer to the heap-wide `u`/`a` and may migrate freely (no live
+    /// blocks, no class: moving them causes neither remote frees nor
+    /// fetch-back thrash). A *partially filled* one answers to its size
+    /// class, for which the paper states and proves the invariant: once
+    /// the empties are gone, at most one moves per triggering free, only
+    /// if `class` — the class of that free — itself violates
+    /// `u_c ≥ a_c − K·S ∨ u_c ≥ (1−f)·a_c`, and then `class`'s emptiest
+    /// f-empty superblock (the paper's "transfer a superblock that is at
+    /// least f empty"). Judged heap-wide, a heap of many thin classes is
+    /// always in violation, and a crossing in any class evicted the
+    /// first class's superblock, to be fetched straight back. With the
+    /// crossing trigger this converges at quiescence (every superblock
+    /// that drains triggers). Caller holds heap `hi`'s lock.
+    unsafe fn restore_invariant(&self, heap: &Heap, hi: usize, class: usize) {
         let mut moved_partial = false;
         let pol = self.policy();
         loop {
-            let u = heap.u.load(Relaxed);
-            let a = heap.a.load(Relaxed);
-            if !pol.invariant_violated(u, a) {
+            // Cheapest first: with no empty to give and `class` inside its
+            // slack nothing can move, whatever the O(classes) sum says.
+            let partial_due = !moved_partial
+                && pol.invariant_violated(heap.class_u(class), heap.class_a(class));
+            if (heap.empty_count() == 0 && !partial_due)
+                || !pol.invariant_violated(heap.u(), heap.a.load(Relaxed))
+            {
                 return;
             }
-            let (victim, used) = if moved_partial {
-                // Only empties may continue the loop.
-                (heap.pop_empty(), 0)
-            } else {
-                heap.take_emptiest(&pol)
-            };
+            let mut victim = heap.pop_empty();
+            if victim.is_null() {
+                victim = heap.take_emptiest(class, &pol);
+                moved_partial = true;
+            }
             if victim.is_null() {
                 return; // nothing eligible (transient; see module docs)
             }
-            if (*victim).in_use != 0 {
-                moved_partial = true;
-            }
+            // A partial is `class`'s own; an empty has no bytes in use.
+            let used = Superblock::used_bytes(victim);
             // Guard: the caller holds `heap`'s lock.
             heap.guarded_sub(&heap.a, Superblock::usable_bytes(victim));
-            heap.guarded_sub(&heap.u, used);
+            heap.sub_u(class, used);
 
             if self.config.release_empty_to_os && (*victim).in_use == 0 {
                 // Ablation: drained superblocks go straight back to the OS
@@ -2152,7 +2109,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             Superblock::set_owner(victim, 0);
             // Guard: `_g0` (the global heap's lock).
             global.guarded_add(&global.a, Superblock::usable_bytes(victim));
-            global.guarded_add(&global.u, used);
+            global.add_u(class, used);
             global.place(victim);
             self.stats.on_transfer_to_global();
             charge_cost(Cost::SuperblockTransfer);
@@ -2989,6 +2946,62 @@ mod tests {
         }
         let (to_global, _) = h.transfer_counts();
         assert!(to_global > 0, "freeing everything must migrate superblocks");
+    }
+
+    /// A heap with a thin superblock in each of many classes is always
+    /// in heap-wide violation, yet no class is over its own `K·S`: a
+    /// crossing must not hand a superblock with a live block to the
+    /// global heap, whichever class crosses. (Judged heap-wide, every
+    /// crossing below evicted the first f-empty superblock of the
+    /// lowest class, to be fetched straight back.)
+    #[test]
+    fn a_class_inside_its_slack_keeps_its_partials() {
+        let h = HoardAllocator::with_config(HoardConfig::new()).unwrap();
+        hoard_sim::switch_context(0, 0);
+        let global_u = || {
+            let v = crate::debug::validate(&h);
+            assert!(v.is_consistent(), "{:?}", v.errors);
+            v.heaps[0].u
+        };
+        unsafe {
+            // One resident block in each of 24 classes.
+            let sizes = [
+                8usize, 16, 24, 32, 40, 56, 64, 72, 80, 96, 112, 128, 160, 200, 256, 320, 400,
+                512, 640, 800, 1024, 1300, 1700, 2200,
+            ];
+            let residents = sizes.map(|size| h.allocate(size).unwrap());
+            let classes: std::collections::HashSet<_> =
+                sizes.iter().map(|&size| h.classes.index_for(size)).collect();
+            assert!(classes.len() >= 20, "only {} distinct classes", classes.len());
+
+            // Fill one 48 B superblock to one block above its f-emptiness
+            // boundary, so each free below crosses it and each
+            // allocation re-arms the latch.
+            let class = h.classes.index_for(48).unwrap();
+            let first = h.allocate(48).unwrap();
+            let sb = read_header(first.as_ptr()).value as *mut Superblock;
+            let mut held = vec![first];
+            while h.policy().f_empty_blocks((*sb).in_use, (*sb).capacity) {
+                held.push(h.allocate(48).unwrap());
+            }
+            assert_eq!(h.heaps[Superblock::owner(sb)].class_a(class), Superblock::usable_bytes(sb));
+
+            // The largest class holds one block a superblock: every free
+            // drains one, which may leave — as an empty.
+            let big = h.config.large_threshold();
+            for _ in 0..1_000 {
+                h.deallocate(held.pop().unwrap());
+                assert!(!(*sb).armed, "the free did not cross the boundary");
+                assert_eq!(global_u(), 0, "a 48 B crossing evicted a live superblock");
+                held.push(h.allocate(48).unwrap());
+                h.deallocate(h.allocate(big).unwrap());
+                assert_eq!(global_u(), 0, "a drained superblock took a live one along");
+            }
+            let (to_global, from_global) = h.transfer_counts();
+            assert!(to_global > 0 && from_global > 0, "the empties did circulate");
+            held.into_iter().chain(residents).for_each(|p| h.deallocate(p));
+        }
+        assert_eq!(h.stats().live_current, 0);
     }
 
     #[test]

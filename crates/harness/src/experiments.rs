@@ -512,8 +512,9 @@ fn e12_sensitivity(opts: &RunOptions) -> Vec<Table> {
         tf.push_row(row(&cfg, &result));
     }
     tf.push_note(format!(
-        "shbench at P = {threads}; small f declares ~60%-full heaps \
-         permanently too empty and churns superblocks through the global heap"
+        "shbench at P = {threads}; a partial leaves a heap only when its own size \
+         class is over K·S, which binds before any f does here: f hardly moves \
+         transfers or memory (heap-wide, f = 1/8 made 11x the transfers of f = 1/2)"
     ));
 
     // (b) K and S on threadtest: batch churn drains superblocks fully,

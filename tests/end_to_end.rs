@@ -118,7 +118,9 @@ fn e12_sensitivity_shapes() {
     let tables = experiment_by_id("e12").unwrap().run(&opts());
     let transfers = |r: &[String]| r[5].parse::<u64>().expect("transfer cell");
 
-    // Table 0: f sweep on shbench — a small f churns superblocks.
+    // Table 0: f sweep on shbench — a small f no longer churns
+    // superblocks (it did while partials answered to the heap-wide
+    // check: 11x the transfers at f = 1/8, full scale).
     let tf = &tables[0];
     let f_row = |f: &str| {
         tf.rows
@@ -127,14 +129,19 @@ fn e12_sensitivity_shapes() {
             .unwrap_or_else(|| panic!("row f={f} in {:?}", tf.rows))
             .clone()
     };
-    // At quick scale the end-of-run drain dominates the transfer count;
-    // the f effect is still a clear monotone factor (11x at full scale).
-    assert!(
-        transfers(&f_row("1/8")) as f64 > 1.8 * transfers(&f_row("1/2")) as f64,
-        "small f must churn superblocks on shbench: 1/8 -> {}, 1/2 -> {}",
-        transfers(&f_row("1/8")),
-        transfers(&f_row("1/2"))
-    );
+    // A partial leaves a heap only when its own class is over `K·S`,
+    // which binds before any `f` does on shbench's ~30 thin classes, so
+    // the transfers (mostly the end-of-run drain at quick scale) hardly
+    // depend on `f`: ~406 / ~372 at quick scale, 649 / 591 / 485 at full.
+    // The count only: makespans carry the real-thread gate's +-20 %.
+    for f in ["1/8", "1/4"] {
+        assert!(
+            transfers(&f_row(f)) as f64 <= 1.5 * transfers(&f_row("1/2")) as f64,
+            "f must not drive superblock churn on shbench: {f} -> {}, 1/2 -> {}",
+            transfers(&f_row(f)),
+            transfers(&f_row("1/2"))
+        );
+    }
 
     // Table 1: K sweep on threadtest — K=0 ping-pongs.
     let tk = &tables[1];
