@@ -4,6 +4,7 @@
 
 use crate::harden::HardeningLevel;
 use crate::MAX_HEAPS;
+use hoard_mem::MAX_SUPERBLOCK_SIZE;
 
 /// Configuration of a [`crate::HoardAllocator`].
 ///
@@ -41,7 +42,8 @@ use crate::MAX_HEAPS;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HoardConfig {
-    /// Superblock size `S` in bytes (power of two, ≥ 1 KiB).
+    /// Superblock size `S` in bytes (power of two, 1 KiB ..=
+    /// [`MAX_SUPERBLOCK_SIZE`]).
     pub superblock_size: usize,
     /// Numerator of the empty fraction `f`.
     pub empty_fraction_num: usize,
@@ -53,10 +55,6 @@ pub struct HoardConfig {
     /// Number of per-processor heaps (the paper's `P`); threads are
     /// mapped to heaps by processor id modulo this count.
     pub heap_count: usize,
-    /// Whether completely empty superblocks in the *global* heap are
-    /// released back to the OS (off in the paper's allocator; exposed
-    /// for the ablation experiments).
-    pub release_empty_to_os: bool,
     /// How hard the allocator defends its deallocation paths against
     /// heap misuse (double free, foreign pointers, overruns). See
     /// [`HardeningLevel`]; `Off` reproduces the paper's allocator.
@@ -80,17 +78,6 @@ pub struct HoardConfig {
     /// ownership off the per-thread slots, so `magazine_capacity` must
     /// be non-zero when this is on.
     pub lockfree_backend: bool,
-    /// Let the online feedback controller retune the allocator while it
-    /// runs: per-size-class magazine capacities and refill/flush batch
-    /// sizes (seeded `∝ S / block_size` instead of the flat
-    /// `magazine_capacity` scalar), and — under transfer storms — the
-    /// emptiness thresholds `K`/`f`, within the clamps derived in
-    /// DESIGN.md §13 so the paper's blowup bound survives. Ticks on the
-    /// *virtual* clock from `MetricsSnapshot` deltas, so tuned runs stay
-    /// replay-deterministic. Off (the default) reproduces the static
-    /// configuration bit for bit; on requires the magazine front-end,
-    /// whose refill/flush paths drive the controller.
-    pub adaptive_tuning: bool,
 }
 
 impl HoardConfig {
@@ -102,11 +89,9 @@ impl HoardConfig {
             empty_fraction_den: 2,
             slack_k: 2,
             heap_count: 16,
-            release_empty_to_os: false,
             hardening: HardeningLevel::Off,
             magazine_capacity: 0,
             lockfree_backend: false,
-            adaptive_tuning: false,
         }
     }
 
@@ -116,13 +101,6 @@ impl HoardConfig {
         Self::with_default_magazines().with_lockfree_backend(true)
     }
 
-    /// The paper's configuration plus the magazine front-end with the
-    /// online feedback controller steering it (size-class-proportional
-    /// capacities, adaptive batches, storm-damped thresholds).
-    pub const fn with_adaptive() -> Self {
-        Self::with_default_magazines().with_adaptive_tuning(true)
-    }
-
     /// The paper's configuration plus the thread-local magazine
     /// front-end at its default capacity
     /// ([`DEFAULT_MAGAZINE_CAPACITY`](crate::magazine::DEFAULT_MAGAZINE_CAPACITY)).
@@ -130,7 +108,8 @@ impl HoardConfig {
         Self::new().with_magazine_capacity(crate::magazine::DEFAULT_MAGAZINE_CAPACITY)
     }
 
-    /// Set the superblock size `S` (bytes; power of two, ≥ 1 KiB).
+    /// Set the superblock size `S` (bytes; power of two, 1 KiB ..=
+    /// [`MAX_SUPERBLOCK_SIZE`]).
     pub const fn with_superblock_size(mut self, s: usize) -> Self {
         self.superblock_size = s;
         self
@@ -156,13 +135,6 @@ impl HoardConfig {
         self
     }
 
-    /// Enable or disable releasing empty global-heap superblocks to the
-    /// OS (ablation).
-    pub const fn with_release_empty_to_os(mut self, yes: bool) -> Self {
-        self.release_empty_to_os = yes;
-        self
-    }
-
     /// Set the hardening level for the allocation paths.
     pub const fn with_hardening(mut self, level: HardeningLevel) -> Self {
         self.hardening = level;
@@ -183,13 +155,6 @@ impl HoardConfig {
         self
     }
 
-    /// Enable or disable the online feedback controller (requires a
-    /// non-zero magazine capacity; see the field docs).
-    pub const fn with_adaptive_tuning(mut self, yes: bool) -> Self {
-        self.adaptive_tuning = yes;
-        self
-    }
-
     /// Largest request served from superblocks; larger allocations go
     /// straight to the chunk source (the paper's `S/2` rule).
     pub const fn large_threshold(&self) -> usize {
@@ -203,7 +168,10 @@ impl HoardConfig {
     /// Returns a [`ConfigError`] describing the first violated
     /// constraint.
     pub const fn validate(&self) -> Result<(), ConfigError> {
-        if !self.superblock_size.is_power_of_two() || self.superblock_size < 1024 {
+        if !self.superblock_size.is_power_of_two()
+            || self.superblock_size < 1024
+            || self.superblock_size > MAX_SUPERBLOCK_SIZE
+        {
             return Err(ConfigError::BadSuperblockSize);
         }
         if self.empty_fraction_num == 0
@@ -220,9 +188,6 @@ impl HoardConfig {
         }
         if self.lockfree_backend && self.magazine_capacity == 0 {
             return Err(ConfigError::LockfreeNeedsMagazines);
-        }
-        if self.adaptive_tuning && self.magazine_capacity == 0 {
-            return Err(ConfigError::AdaptiveNeedsMagazines);
         }
         Ok(())
     }
@@ -268,7 +233,8 @@ impl Default for HoardConfig {
 /// Error returned by [`HoardConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// Superblock size is not a power of two ≥ 1 KiB.
+    /// Superblock size is not a power of two in 1 KiB ..=
+    /// [`MAX_SUPERBLOCK_SIZE`].
     BadSuperblockSize,
     /// Empty fraction is not a proper fraction in `(0, 1)`.
     BadEmptyFraction,
@@ -281,17 +247,17 @@ pub enum ConfigError {
     /// lock-free back-end hangs superblock ownership off the per-thread
     /// magazine slots, so it cannot run without them.
     LockfreeNeedsMagazines,
-    /// `adaptive_tuning` is on but the magazine front-end is off; the
-    /// controller's sensors and actuators both live on the magazine
-    /// refill/flush paths, so it has nothing to steer without them.
-    AdaptiveNeedsMagazines,
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::BadSuperblockSize => {
-                write!(f, "superblock size must be a power of two of at least 1 KiB")
+                write!(
+                    f,
+                    "superblock size must be a power of two in 1 KiB..={} KiB",
+                    MAX_SUPERBLOCK_SIZE / 1024
+                )
             }
             ConfigError::BadEmptyFraction => {
                 write!(f, "empty fraction must satisfy 0 < num/den < 1")
@@ -310,12 +276,6 @@ impl std::fmt::Display for ConfigError {
                 write!(
                     f,
                     "the lock-free back-end requires a non-zero magazine capacity"
-                )
-            }
-            ConfigError::AdaptiveNeedsMagazines => {
-                write!(
-                    f,
-                    "adaptive tuning requires a non-zero magazine capacity"
                 )
             }
         }
@@ -352,6 +312,14 @@ mod tests {
             HoardConfig::new().with_superblock_size(512).validate(),
             Err(ConfigError::BadSuperblockSize)
         );
+        assert_eq!(
+            HoardConfig::new().with_superblock_size(1 << 19).validate(),
+            Err(ConfigError::BadSuperblockSize)
+        );
+        assert!(HoardConfig::new()
+            .with_superblock_size(MAX_SUPERBLOCK_SIZE)
+            .validate()
+            .is_ok());
         assert_eq!(
             HoardConfig::new().with_empty_fraction(0, 4).validate(),
             Err(ConfigError::BadEmptyFraction)
@@ -445,18 +413,6 @@ mod tests {
         assert_eq!(
             HoardConfig::new().with_lockfree_backend(true).validate(),
             Err(ConfigError::LockfreeNeedsMagazines)
-        );
-    }
-
-    #[test]
-    fn adaptive_tuning_defaults_off_and_requires_magazines() {
-        assert!(!HoardConfig::new().adaptive_tuning, "controller off by default");
-        const C: HoardConfig = HoardConfig::with_adaptive();
-        const { assert!(C.adaptive_tuning && C.magazine_capacity > 0) };
-        assert!(C.validate().is_ok());
-        assert_eq!(
-            HoardConfig::new().with_adaptive_tuning(true).validate(),
-            Err(ConfigError::AdaptiveNeedsMagazines)
         );
     }
 }

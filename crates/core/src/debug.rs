@@ -245,10 +245,7 @@ unsafe fn check_superblock(who: &str, owner: usize, sb: *mut Superblock, errors:
 /// the global heap only if that thread also waits on a scanned heap —
 /// tests call this at quiescent points).
 pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
-    // The *effective* config: with adaptive tuning the controller may
-    // have loosened K/f, and the invariant/f-emptiness observations
-    // must be judged against the thresholds the allocator actually ran.
-    let cfg = alloc.effective_config();
+    let cfg = alloc.config();
     let mut heaps = Vec::new();
     let mut errors = Vec::new();
 

@@ -48,7 +48,6 @@ mod hoard;
 mod list;
 mod magazine;
 mod superblock;
-mod tuning;
 
 pub mod debug;
 
@@ -56,7 +55,7 @@ pub use config::{ConfigError, HoardConfig};
 pub use harden::{CorruptionHook, CorruptionKind, CorruptionLog, CorruptionReport, HardeningLevel};
 pub use hoard::{HoardAllocator, RecoverySnapshot};
 pub use magazine::{DEFAULT_MAGAZINE_CAPACITY, MAX_MAGAZINE_CAPACITY};
-pub use hoard_mem::{SizeClass, SizeClassTable, MAX_CLASSES};
+pub use hoard_mem::{SizeClass, SizeClassTable, MAX_CLASSES, MAX_SUPERBLOCK_SIZE};
 // The observability layer (see DESIGN.md §10): re-exported so harness
 // and tests attach tracers/registries without naming hoard-trace.
 pub use hoard_trace::{

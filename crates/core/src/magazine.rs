@@ -47,10 +47,8 @@ pub(crate) const MAG_SLOTS: usize = 16;
 pub(crate) const MAG_CLASSES: usize = 24;
 
 /// Hard upper bound on [`HoardConfig::magazine_capacity`]
-/// (`crate::HoardConfig::magazine_capacity`) and on any per-class
-/// capacity the feedback controller installs; also the static size of
-/// each magazine's pointer array. Twice the default so the controller
-/// has headroom to grow small-block magazines under batchy workloads.
+/// (`crate::HoardConfig::magazine_capacity`); also the static size of
+/// each magazine's pointer array.
 pub const MAX_MAGAZINE_CAPACITY: usize = 64;
 
 /// Capacity installed by

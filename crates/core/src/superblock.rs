@@ -47,8 +47,10 @@ pub(crate) const SB_MAGIC: u64 = 0x5B10_C0DE_5B10_C0DE;
 const IDX_BITS: u32 = 20;
 const IDX_MASK: u64 = (1 << IDX_BITS) - 1;
 /// Sentinel head index meaning "stack empty". Also the hard cap on
-/// block indices, asserted at `init`: a superblock would need >1M slots
-/// to overflow it, which `S ≤ 2^31` cannot produce.
+/// block indices, asserted at `init`: the smallest stride is 16 bytes
+/// and `HoardConfig::validate` rejects `S` above
+/// `hoard_mem::MAX_SUPERBLOCK_SIZE` (2^18), so a superblock has at most
+/// 16 Ki slots.
 pub(crate) const NULL_IDX: u32 = IDX_MASK as u32;
 const COUNT_SHIFT: u32 = 20;
 const TAG_SHIFT: u32 = 40;

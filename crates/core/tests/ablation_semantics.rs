@@ -1,37 +1,9 @@
 //! Behavioral tests for Hoard's configuration knobs and secondary paths:
-//! the OS-release ablation, the eviction hysteresis latch, `reallocate`,
-//! heap-count effects, and failure injection mid-run.
+//! the eviction hysteresis latch, `reallocate`, heap-count effects, and
+//! failure injection mid-run.
 
 use hoard_core::{debug, HoardAllocator, HoardConfig};
 use hoard_mem::{FailingSource, MtAllocator, SystemSource};
-
-#[test]
-fn os_release_ablation_returns_drained_memory() {
-    // Boxed: two allocator values at once would crowd the test thread's
-    // stack in debug builds (the struct embeds the heap array and the
-    // magazine front-end).
-    let on = Box::new(
-        HoardAllocator::with_config(HoardConfig::new().with_release_empty_to_os(true)).unwrap(),
-    );
-    let off = Box::new(HoardAllocator::new_default());
-    for h in [&on, &off] {
-        unsafe {
-            let ptrs: Vec<_> = (0..2000).map(|_| h.allocate(128).unwrap()).collect();
-            for p in ptrs {
-                h.deallocate(p);
-            }
-        }
-    }
-    assert!(
-        on.stats().held_current < off.stats().held_current,
-        "release-to-OS must shrink the resident footprint: on={} off={}",
-        on.stats().held_current,
-        off.stats().held_current
-    );
-    // Both still internally consistent.
-    assert!(debug::validate(&on).is_consistent());
-    assert!(debug::validate(&off).is_consistent());
-}
 
 #[test]
 fn hysteresis_latch_prevents_boundary_oscillation_thrash() {

@@ -15,7 +15,7 @@
 //! Each property runs over [`CASES`] generated traces, one per seed; a
 //! failure names the seed that reproduces it.
 
-use hoard_core::{debug, HoardAllocator, HoardConfig};
+use hoard_core::{debug, HardeningLevel, HoardAllocator, HoardConfig};
 use hoard_mem::MtAllocator;
 use hoard_sim::Rng;
 
@@ -165,6 +165,55 @@ fn trace_preserves_invariants_random_config() {
 fn trace_preserves_invariants_with_magazines() {
     Rng::for_each_case(CASES, |rng| {
         run_trace(HoardConfig::with_default_magazines(), &gen_ops(rng, 1, 400));
+    });
+}
+
+/// The nine configurations there are — three stacks by three hardening
+/// levels — each take the same small/large churn from three virtual
+/// processors, any of which may free any live block.
+#[test]
+fn all_nine_configurations_survive_cross_processor_churn() {
+    const PROCS: usize = 3;
+    let stacks = [
+        HoardConfig::new(),
+        HoardConfig::with_default_magazines(),
+        HoardConfig::with_lockfree(),
+    ];
+    let levels = [HardeningLevel::Off, HardeningLevel::Basic, HardeningLevel::Full];
+    Rng::for_each_case(4, |rng| {
+        let ops: Vec<(usize, Op)> = (0..rng.range(300, 600))
+            .map(|_| (rng.range(0, PROCS - 1), gen_op(rng)))
+            .collect();
+        for cfg in stacks.iter().flat_map(|s| levels.map(|l| s.with_hardening(l))) {
+            let h = HoardAllocator::with_config(cfg).expect("valid config");
+            let mut live = Vec::new();
+            for (proc, op) in &ops {
+                hoard_sim::switch_context(*proc, 0);
+                match op {
+                    Op::Alloc(size) => {
+                        let p = unsafe { h.allocate(*size) }.expect("host memory available");
+                        unsafe { std::ptr::write_bytes(p.as_ptr(), 0xA5, *size) };
+                        live.push(p);
+                    }
+                    Op::Free(raw) if !live.is_empty() => {
+                        let p = live.swap_remove(raw % live.len());
+                        unsafe { h.deallocate(p) };
+                    }
+                    Op::Free(_) => {}
+                }
+            }
+            for (i, p) in live.drain(..).enumerate() {
+                hoard_sim::switch_context(i % PROCS, 0);
+                unsafe { h.deallocate(p) };
+            }
+            h.flush_frontend();
+            let v = debug::validate(&h);
+            assert!(v.is_consistent(), "{cfg:?}: {:?}", v.errors);
+            let snap = h.stats();
+            assert_eq!(snap.live_current, 0, "{cfg:?}");
+            assert!(snap.remote_frees > 0, "{cfg:?}: no free crossed processors");
+            assert_eq!(h.corruption_log().total(), 0, "{cfg:?}");
+        }
     });
 }
 

@@ -86,33 +86,6 @@ fn capacity_zero_is_bit_identical_to_the_seed_paths() {
 }
 
 #[test]
-fn adaptive_off_is_bit_identical_to_the_static_front_end() {
-    // The tuning ablation gate: with `adaptive_tuning` off, the
-    // compiled-in controller must be behaviourally invisible — every
-    // class runs the static capacity, no tick ever fires, and the
-    // layout decisions match a plain magazine build exactly. A config
-    // that turned the controller on and back off must land on the
-    // same bits too.
-    let a = mag_on();
-    let b = HoardAllocator::with_config(
-        HoardConfig::with_adaptive().with_adaptive_tuning(false),
-    )
-    .unwrap();
-    assert_eq!(
-        normalize(&trace(&a)),
-        normalize(&trace(&b)),
-        "disabled controller must not perturb layout"
-    );
-    assert_eq!(a.heap_lock_stats().0, b.heap_lock_stats().0);
-    let (ma, mb) = (a.stats().magazines, b.stats().magazines);
-    assert_eq!(
-        (ma.alloc_hits, ma.free_hits, ma.refills, ma.flushes),
-        (mb.alloc_hits, mb.free_hits, mb.refills, mb.flushes),
-        "front-end traffic must match op for op"
-    );
-}
-
-#[test]
 fn magazines_change_lock_traffic_not_outcomes() {
     // Same trace with the front-end on: far fewer lock acquisitions,
     // identical external behaviour (everything freed, heap consistent).

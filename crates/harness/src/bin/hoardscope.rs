@@ -16,8 +16,6 @@
 //!            [--budget FILE] [--inject-leak] [--overhead]
 //!            [--threads N] [--quick] [--lockfree]
 //!            [--json OUT] [--collapsed OUT]
-//!
-//! hoardscope tune --ab [--quick] [--gate TOLERANCE_PCT]
 //! ```
 //!
 //! `--demo` runs traced larson and prints the full report; `--lockfree`
@@ -28,13 +26,6 @@
 //! exits nonzero if the lock-free run's heap-lock acquisitions exceed
 //! `BUDGET` (the checked-in budget lives in `ci/contention_budget.txt`)
 //! or either run's superblock registry latched degraded mode.
-//!
-//! `tune --ab` runs the adaptive-tuning A/B sweep: the feedback
-//! controller vs a grid of static magazine capacities across the
-//! workload suite at P ∈ {8, 14}. With `--gate TOLERANCE_PCT` it exits
-//! nonzero unless the adaptive aggregate stays within that percentage
-//! of the best static point (the CI budget lives in
-//! `ci/tuning_budget.txt`); without it, the sweep must win outright.
 //!
 //! The `trc` subcommands drive the binary `.trc` allocation-trace
 //! pipeline: `record` captures a named workload (threadtest|larson)
@@ -69,7 +60,7 @@ use hoard_core::{
 };
 use hoard_harness::{
     heap_lock_acquisitions, heap_profile_section, lock_table, profile_trc, profile_workload,
-    record_workload, render_profile, replay_trc, report_for, run_tune_ab, scope_report,
+    record_workload, render_profile, replay_trc, report_for, scope_report,
     traced_larson_with, BudgetFile, ProfiledRun, PROFILE_CATALOG,
 };
 use hoard_workloads::server_traffic;
@@ -80,7 +71,6 @@ fn main() {
         args.remove(0);
     }
     match args.first().map(String::as_str) {
-        Some("tune") => tune(&args[1..]),
         Some("record") => trc_record(&args[1..]),
         Some("replay") => trc_replay(&args[1..]),
         Some("gen") => trc_gen(&args[1..]),
@@ -100,8 +90,7 @@ fn main() {
                  hoardscope [trc] gen OUT.trc [--sessions N] [--workers N] [--seed S]\n       \
                  hoardscope [trc] report FILE.trc [--lockfree] [--json OUT]\n       \
                  hoardscope profile [TARGET] [--top K] [--timeline] [--gate] [--budget FILE] \
-                 [--inject-leak] [--overhead] [--json OUT] [--collapsed OUT]\n       \
-                 hoardscope tune --ab [--quick] [--gate TOLERANCE_PCT]"
+                 [--inject-leak] [--overhead] [--json OUT] [--collapsed OUT]"
             );
             std::process::exit(2);
         }
@@ -466,35 +455,6 @@ fn gate(args: &[String]) {
         std::process::exit(1);
     }
     eprintln!("contention gate passed: {lockfree_acqs} <= {budget}");
-}
-
-fn tune(args: &[String]) {
-    if !args.iter().any(|a| a == "--ab") {
-        eprintln!("usage: hoardscope tune --ab [--quick] [--gate TOLERANCE_PCT]");
-        std::process::exit(2);
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let report = run_tune_ab(quick);
-    println!("{}", report.render());
-    match flag_value(args, "--gate") {
-        Some(tol) => {
-            let tol: f64 = tol.parse().expect("--gate takes a tolerance in percent");
-            if !report.adaptive_within(tol) {
-                eprintln!(
-                    "tuning gate FAILED: adaptive aggregate exceeds best static + {tol}%"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("tuning gate passed: adaptive within {tol}% of best static");
-        }
-        None => {
-            if !report.adaptive_beats_all() {
-                eprintln!("adaptive does NOT beat every static point");
-                std::process::exit(1);
-            }
-            eprintln!("adaptive beats every static point at P=8 and P=14");
-        }
-    }
 }
 
 fn from_file(path: &str) {

@@ -560,7 +560,7 @@ mod tests {
     #[test]
     fn e1_lists_all_benchmarks() {
         let tables = e1_catalog(&tiny_opts());
-        assert_eq!(tables[0].rows.len(), 10);
+        assert_eq!(tables[0].rows.len(), 9);
     }
 
     #[test]

@@ -29,7 +29,6 @@ mod speedup;
 mod summary;
 mod table;
 mod trc_tools;
-mod tune;
 
 pub use experiments::{all_experiments, experiment_by_id, Experiment, RunOptions};
 pub use factory::AllocatorKind;
@@ -47,9 +46,6 @@ pub use table::Table;
 pub use trc_tools::{
     record_workload, replay_digest, replay_trc, report_for, RecordOutcome, ReplayOutcome,
     TRC_REPORT_SCHEMA,
-};
-pub use tune::{
-    ab_grid, bypass_512, run_tune_ab, AbAggregate, TuneAbReport, STATIC_GRID, THREAD_POINTS,
 };
 
 #[cfg(test)]

@@ -50,6 +50,6 @@ pub use chunk::{ChunkSource, FailingSource, LimitedSource, SourceStats, SystemSo
 pub use fault::{FaultPlan, InjectingSource};
 pub use large::LargePool;
 pub use header::{read_header, try_read_header, write_header, HeaderWord, Tag, HEADER_SIZE};
-pub use size_class::{SizeClass, SizeClassTable, MAX_CLASSES};
+pub use size_class::{SizeClass, SizeClassTable, MAX_CLASSES, MAX_SUPERBLOCK_SIZE};
 pub use stats::{AllocSnapshot, AllocStats, MagazineStats, StatsShard, LIVE_GRANT};
 pub use util::{align_down, align_up, CACHE_LINE, MIN_ALIGN};

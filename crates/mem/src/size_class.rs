@@ -11,8 +11,19 @@
 //! embedded in a `static` allocator.
 
 /// Upper bound on the number of size classes for any supported
-/// superblock size (`S ≤ 2^20` comfortably fits).
+/// superblock size.
 pub const MAX_CLASSES: usize = 56;
+
+/// Largest superblock size whose classes (`8 ..= S/2`) fit in
+/// [`MAX_CLASSES`] entries: [`SizeClassTable::for_superblock_size`]
+/// panics above it.
+pub const MAX_SUPERBLOCK_SIZE: usize = 1 << 18;
+
+// The table builds at the bound (`bound_is_the_last_size_that_fits`
+// shows the next power of two does not).
+const _: () = {
+    SizeClassTable::for_superblock_size(MAX_SUPERBLOCK_SIZE);
+};
 
 /// One size class: all blocks of a class have the same payload size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,8 +77,8 @@ impl SizeClassTable {
     ///
     /// # Panics
     ///
-    /// Panics (at compile time for const use) if `s/2 < 8` or the table
-    /// capacity is exceeded.
+    /// Panics (at compile time for const use) if `s/2 < 8` or `s`
+    /// exceeds [`MAX_SUPERBLOCK_SIZE`] (the table capacity).
     pub const fn for_superblock_size(s: usize) -> Self {
         let limit = s / 2;
         assert!(limit >= 8, "superblock too small for any size class");
@@ -156,8 +167,8 @@ impl SizeClassTable {
         self.max_size
     }
 
-    /// The class at `index`. `const`, so per-class derived tables (the
-    /// feedback controller's seed capacities) can live in statics.
+    /// The class at `index`. `const`, so per-class derived tables can
+    /// live in statics.
     ///
     /// # Panics
     ///
@@ -312,6 +323,12 @@ mod tests {
                 assert!(t.index_for(size).is_some());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "size class table overflow")]
+    fn bound_is_the_last_size_that_fits() {
+        let _ = SizeClassTable::for_superblock_size(2 * MAX_SUPERBLOCK_SIZE);
     }
 
     #[test]

@@ -71,13 +71,6 @@ pub enum Cost {
     /// (one AND plus a validation probe on warm metadata) — the
     /// lock-free back-end's replacement for the header-chase lookup.
     MaskLookup,
-    /// One tick of the online feedback controller: snapshotting the
-    /// metrics registry, diffing it against the previous tick, and
-    /// writing back new per-class capacities/thresholds. Charged to the
-    /// thread that claims the tick, so adaptive tuning perturbs virtual
-    /// time honestly — and deterministically, since ticks are claimed on
-    /// the virtual clock.
-    TuneTick,
     /// One heap-profiler sample: updating a site's live-byte counters on
     /// an allocation/free, or taking one fragmentation-timeline reading
     /// (two atomic loads plus a store into a thread-shared series).
@@ -87,7 +80,7 @@ pub enum Cost {
     ProfileSample,
 }
 
-const N_COSTS: usize = 19;
+const N_COSTS: usize = 18;
 
 #[inline]
 fn index(cost: Cost) -> usize {
@@ -109,8 +102,7 @@ fn index(cost: Cost) -> usize {
         Cost::TraceEvent => 14,
         Cost::AtomicRmw => 15,
         Cost::MaskLookup => 16,
-        Cost::TuneTick => 17,
-        Cost::ProfileSample => 18,
+        Cost::ProfileSample => 17,
     }
 }
 
@@ -134,7 +126,6 @@ pub struct CostModel {
     pub trace_event: u64,
     pub atomic_rmw: u64,
     pub mask_lookup: u64,
-    pub tune_tick: u64,
     pub profile_sample: u64,
 }
 
@@ -176,11 +167,6 @@ impl Default for CostModel {
             // cache hit, and strictly cheaper than chasing the per-block
             // header line it replaces.
             mask_lookup: 2,
-            // A controller tick walks the metrics registry (a few
-            // hundred counter loads) and stores a handful of knobs:
-            // roughly a lock handoff's worth of work, paid once per
-            // tuning interval rather than per operation.
-            tune_tick: 150,
             // A profiler sample is a couple of counter bumps on a warm
             // shared line: pricier than a ring store (it contends with
             // other samplers), far below a fast-path malloc — the honest
@@ -231,7 +217,6 @@ impl CostModel {
             trace_event: unit,
             atomic_rmw: unit,
             mask_lookup: unit,
-            tune_tick: unit,
             profile_sample: unit,
         }
     }
@@ -256,7 +241,6 @@ impl CostModel {
             Cost::TraceEvent => self.trace_event,
             Cost::AtomicRmw => self.atomic_rmw,
             Cost::MaskLookup => self.mask_lookup,
-            Cost::TuneTick => self.tune_tick,
             Cost::ProfileSample => self.profile_sample,
         }
     }
@@ -292,7 +276,6 @@ impl CostModel {
             trace_event: get(Cost::TraceEvent),
             atomic_rmw: get(Cost::AtomicRmw),
             mask_lookup: get(Cost::MaskLookup),
-            tune_tick: get(Cost::TuneTick),
             profile_sample: get(Cost::ProfileSample),
         }
     }
@@ -316,7 +299,6 @@ const ALL: [Cost; N_COSTS] = [
     Cost::TraceEvent,
     Cost::AtomicRmw,
     Cost::MaskLookup,
-    Cost::TuneTick,
     Cost::ProfileSample,
 ];
 
@@ -339,7 +321,6 @@ static GLOBAL: [AtomicU64; N_COSTS] = {
         trace_event: 1,
         atomic_rmw: 40,
         mask_lookup: 2,
-        tune_tick: 150,
         profile_sample: 2,
     };
     [
@@ -360,7 +341,6 @@ static GLOBAL: [AtomicU64; N_COSTS] = {
         AtomicU64::new(D.trace_event),
         AtomicU64::new(D.atomic_rmw),
         AtomicU64::new(D.mask_lookup),
-        AtomicU64::new(D.tune_tick),
         AtomicU64::new(D.profile_sample),
     ]
 };

@@ -73,14 +73,6 @@ pub enum EventKind {
     /// recovered by the poisoning-tolerant accessor.
     /// `arg0` = 0, `arg1` = 0.
     LockPoisoned,
-    /// The feedback controller changed one size class's magazine
-    /// capacity. `arg0` = size class, `arg1` = new capacity in the high
-    /// 32 bits, new refill/flush batch size in the low 32.
-    TuneCapacity,
-    /// The feedback controller changed the emptiness thresholds.
-    /// `arg0` = new slack `K`, `arg1` = new empty-fraction numerator
-    /// (the denominator is fixed by the configuration).
-    TuneThreshold,
 }
 
 impl EventKind {
@@ -105,8 +97,6 @@ impl EventKind {
             EventKind::Corruption => "corruption",
             EventKind::OomReclaim => "oom.reclaim",
             EventKind::LockPoisoned => "lock.poisoned",
-            EventKind::TuneCapacity => "tune.capacity",
-            EventKind::TuneThreshold => "tune.threshold",
         }
     }
 
@@ -116,7 +106,7 @@ impl EventKind {
     }
 
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 20] = [
+    pub const ALL: [EventKind; 18] = [
         EventKind::Alloc,
         EventKind::AllocMagazine,
         EventKind::AllocLarge,
@@ -135,8 +125,6 @@ impl EventKind {
         EventKind::Corruption,
         EventKind::OomReclaim,
         EventKind::LockPoisoned,
-        EventKind::TuneCapacity,
-        EventKind::TuneThreshold,
     ];
 
     /// Chrome-trace category for the kind (groups tracks of related
@@ -154,7 +142,6 @@ impl EventKind {
             | EventKind::EmptinessCross => "transfer",
             EventKind::LockAcquire | EventKind::LockRelease => "lock",
             EventKind::Corruption | EventKind::OomReclaim | EventKind::LockPoisoned => "hardening",
-            EventKind::TuneCapacity | EventKind::TuneThreshold => "tuning",
         }
     }
 
@@ -178,8 +165,6 @@ impl EventKind {
             EventKind::Corruption => ("kind", "zero"),
             EventKind::OomReclaim => ("heap", "chunks"),
             EventKind::LockPoisoned => ("zero", "zero"),
-            EventKind::TuneCapacity => ("class", "capacity_batch"),
-            EventKind::TuneThreshold => ("slack_k", "f_num"),
         }
     }
 }

@@ -243,8 +243,8 @@ impl MetricsRegistry {
 
     /// Count a magazine refill for `heap`/`class` (a dry magazine
     /// pulled a batch under the heap lock, or from the lock-free
-    /// back-end). Refill *frequency* is the feedback controller's
-    /// signal that a class's capacity or batch size is too small.
+    /// back-end). A high refill *frequency* says the class's capacity
+    /// or batch size is too small.
     pub fn on_magazine_refill(&self, heap: usize, class: usize) {
         if let Some(c) = self.class_cell(heap, class) {
             c.refills.fetch_add(1, Relaxed);
@@ -532,8 +532,7 @@ impl RegistryMetrics {
 }
 
 /// One size class summed across all heaps (see
-/// [`MetricsSnapshot::class_totals`]) — the coordinate system the
-/// feedback controller works in.
+/// [`MetricsSnapshot::class_totals`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassTotals {
     /// Allocations served (magazine + locked).
@@ -665,9 +664,7 @@ impl MetricsSnapshot {
         self.heaps.iter().map(|h| h.total_frees()).sum()
     }
 
-    /// One size class's counters aggregated across every heap — the
-    /// feedback controller's per-class sensor (it steers capacity per
-    /// class, not per heap × class).
+    /// One size class's counters aggregated across every heap.
     pub fn class_totals(&self, class: usize) -> ClassTotals {
         let mut t = ClassTotals::default();
         for h in &self.heaps {
@@ -683,8 +680,7 @@ impl MetricsSnapshot {
         t
     }
 
-    /// Superblock transfers in either direction summed across heaps —
-    /// the controller's ping-pong sensor.
+    /// Superblock transfers in either direction summed across heaps.
     pub fn total_transfers(&self) -> u64 {
         self.heaps
             .iter()
@@ -818,8 +814,8 @@ impl MetricsSnapshot {
                     frees: u(c, "frees")?,
                     remote_frees: u(c, "remote_frees")?,
                     magazine_ops: u(c, "magazine_ops")?,
-                    // Added with the feedback controller; default to 0
-                    // so snapshots written before it still parse.
+                    // Later additions; default to 0 so snapshots
+                    // written before them still parse.
                     refills: u(c, "refills").unwrap_or(0),
                     flushes: u(c, "flushes").unwrap_or(0),
                 });

@@ -21,10 +21,9 @@
 //!   charged `Cost::ProfileSample` by the allocator, so profiling-on
 //!   perturbs virtual time honestly (and deterministically).
 //! * **timeline samples** — `(ts, A, U)` readings taken at CAS-claimed
-//!   virtual-clock ticks (same discipline as the tuning controller's
-//!   ticks): one thread wins the claim per interval, charges one
-//!   `Cost::ProfileSample`, and appends the point — so `.trc` replay
-//!   with profiling on stays byte-deterministic.
+//!   virtual-clock ticks: one thread wins the claim per interval,
+//!   charges one `Cost::ProfileSample`, and appends the point — so
+//!   `.trc` replay with profiling on stays byte-deterministic.
 //! * **the quiesce report** — [`HeapProfiler::snapshot`] freezes the
 //!   state into a [`ProfileSnapshot`]: Pareto-ranked sites, the
 //!   timeline, and unfreed blocks grouped by site and age decile.

@@ -17,8 +17,6 @@
 //!   test for foreign frees and the deferred remote-free protocol);
 //! * [`storm`] — slow-path stress: batch bursts past the magazines with
 //!   ring-bled foreign frees (refill/flush/transfer ping-pong);
-//! * [`batch_skew`] — per-class batch depths skewed against any single
-//!   static magazine capacity (the adaptive-tuning target scenario);
 //! * [`barnes_hut`] — an n-body Barnes–Hut simulation (little allocator
 //!   pressure; every allocator should scale);
 //! * [`bem_like`] — a phase-structured solver allocation pattern standing
@@ -32,7 +30,6 @@ mod meter;
 mod object;
 
 pub mod barnes_hut;
-pub mod batch_skew;
 pub mod server_traffic;
 pub mod trace;
 pub mod bem_like;
@@ -158,13 +155,6 @@ pub fn catalog() -> Vec<WorkloadInfo> {
                           (stresses the ownership/remote-free path)",
             parameters: format!("{:?}", prod_cons::Params::default()),
         },
-        WorkloadInfo {
-            name: "batch-skew",
-            description: "size classes driven at mismatched batch depths (deep \
-                          512-B, shallow 16-B, sparse 2-KiB); no single static \
-                          magazine capacity fits all lanes",
-            parameters: format!("{:?}", batch_skew::Params::default()),
-        },
     ]
 }
 
@@ -175,11 +165,11 @@ mod tests {
     #[test]
     fn catalog_names_are_unique_and_described() {
         let cat = catalog();
-        assert_eq!(cat.len(), 10);
+        assert_eq!(cat.len(), 9);
         let mut names: Vec<_> = cat.iter().map(|w| w.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 10, "duplicate workload names");
+        assert_eq!(names.len(), 9, "duplicate workload names");
         for w in &cat {
             assert!(!w.description.is_empty());
             assert!(!w.parameters.is_empty());

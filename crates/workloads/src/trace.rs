@@ -15,8 +15,9 @@
 //!   results across replays of the same trace), returning the usual
 //!   [`WorkloadResult`]; [`replay_concurrent`] is the real-threads
 //!   variant for concurrency stress;
-//! * a line-oriented text serialization (`to_text` / `from_text`) so
-//!   traces can be stored in files and diffed.
+//! * [`Trace::to_text`] — a line-per-event dump for diffing two traces
+//!   (files use the binary `.trc` format: [`Trace::to_trc`] /
+//!   [`Trace::from_trc`]).
 
 use crate::{LiveMeter, Obj, WorkloadResult};
 use hoard_mem::MtAllocator;
@@ -63,9 +64,9 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Serialize to a line-oriented text format
-    /// (`t0 a 5 128` / `t0 a 5 128 7` with a site tag / `t0 f 5` /
-    /// `t0 s 5 2` / `t0 w 40`).
+    /// Dump as one line per event (`t0 a 5 128` / `t0 a 5 128 7` with
+    /// a site tag / `t0 f 5` / `t0 s 5 2` / `t0 w 40`): equal traces
+    /// give equal text, and two dumps diff line by line.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for (t, stream) in self.streams.iter().enumerate() {
@@ -86,61 +87,6 @@ impl Trace {
             }
         }
         out
-    }
-
-    /// Parse the [`to_text`](Self::to_text) format.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed line.
-    pub fn from_text(text: &str) -> Result<Trace, String> {
-        let mut streams: Vec<Vec<TraceOp>> = Vec::new();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            let err = |what: &str| format!("line {}: {what}: {line}", lineno + 1);
-            let thread: usize = parts
-                .next()
-                .and_then(|t| t.strip_prefix('t'))
-                .and_then(|t| t.parse().ok())
-                .ok_or_else(|| err("bad thread"))?;
-            while streams.len() <= thread {
-                streams.push(Vec::new());
-            }
-            let kind = parts.next().ok_or_else(|| err("missing op"))?;
-            let mut num = |what: &str| -> Result<u32, String> {
-                parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| err(what))
-            };
-            let op = match kind {
-                "a" => {
-                    let id = num("bad id")?;
-                    let size = num("bad size")?;
-                    // Optional trailing site tag (absent = untagged).
-                    let site = match parts.next() {
-                        Some(v) => v.parse().map_err(|_| err("bad site"))?,
-                        None => 0,
-                    };
-                    TraceOp::Alloc { id, size, site }
-                }
-                "f" => TraceOp::Free { id: num("bad id")? },
-                "s" => TraceOp::Send {
-                    id: num("bad id")?,
-                    to: num("bad target")? as u16,
-                },
-                "w" => TraceOp::Work {
-                    units: num("bad units")?,
-                },
-                other => return Err(err(&format!("unknown op {other:?}"))),
-            };
-            streams[thread].push(op);
-        }
-        Ok(Trace { streams })
     }
 
     /// Validate referential integrity: every freed/sent id was allocated
@@ -627,9 +573,9 @@ struct Held {
 /// The trace's streams with object ids that index a table no longer
 /// than the trace has allocations, and that table's length.
 ///
-/// A trace may name its objects by any `u32` ([`Trace::from_text`]
-/// takes `t0 a 4000000000 8`), so the largest id alone must never size
-/// the table. Ids below the allocation count (every generator's) are
+/// A trace may name its objects by any `u32` (`streams` is public and
+/// [`replay`] does not validate), so the largest id alone must never
+/// size the table. Ids below the allocation count (every generator's) are
 /// used as they are; otherwise ids are renumbered by rank among the
 /// allocated ids, which keeps their order. An id that is never allocated
 /// maps past the table, where nothing is ever held.
@@ -769,6 +715,11 @@ mod tests {
     use super::*;
     use hoard_core::HoardAllocator;
 
+    /// An untagged allocation, for the `Trace { streams }` literals below.
+    fn alloc(id: u32, size: u32) -> TraceOp {
+        TraceOp::Alloc { id, size, site: 0 }
+    }
+
     #[test]
     fn builder_validate_roundtrip() {
         let mut b = TraceBuilder::new(2);
@@ -803,25 +754,20 @@ mod tests {
     }
 
     #[test]
-    fn text_roundtrip() {
-        let trace = synthesize(&SynthesisParams {
-            threads: 3,
-            allocs_per_thread: 50,
-            ..Default::default()
-        });
-        let text = trace.to_text();
-        let back = Trace::from_text(&text).expect("parse");
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn text_parse_errors_are_located() {
-        assert!(Trace::from_text("t0 a 1").unwrap_err().contains("line 1"));
-        assert!(Trace::from_text("x0 a 1 8").unwrap_err().contains("bad thread"));
-        assert!(Trace::from_text("t0 q 1").unwrap_err().contains("unknown op"));
-        // Comments and blanks are fine.
-        let t = Trace::from_text("# comment\n\nt0 a 0 8\nt0 f 0\n").unwrap();
-        assert_eq!(t.len(), 2);
+    fn text_dump_is_one_line_per_event() {
+        let t = Trace {
+            streams: vec![
+                vec![
+                    alloc(0, 8),
+                    TraceOp::Alloc { id: 1, size: 128, site: 7 },
+                    TraceOp::Work { units: 40 },
+                    TraceOp::Send { id: 0, to: 1 },
+                    TraceOp::Free { id: 1 },
+                ],
+                vec![TraceOp::Free { id: 0 }],
+            ],
+        };
+        assert_eq!(t.to_text(), "t0 a 0 8\nt0 a 1 128 7\nt0 w 40\nt0 s 0 1\nt0 f 1\nt1 f 0\n");
     }
 
     #[test]
@@ -879,20 +825,27 @@ mod tests {
 
     #[test]
     fn replay_table_is_sized_by_the_trace_not_by_its_largest_id() {
-        // `from_text` takes any u32 as an id and `replay` does not
+        // `streams` takes any u32 as an id and `replay` does not
         // validate: a table of `max id + 1` entries would be ~100 GB.
-        let sparse = Trace::from_text(&format!(
-            "t0 a {big} 64\nt0 a 7 128\nt0 w 10\nt0 s {big} 1\nt0 f 7\nt1 f {big}\n",
-            big = u32::MAX - 1
-        ))
-        .expect("parses");
+        let with_ids = |a: u32, b: u32| Trace {
+            streams: vec![
+                vec![
+                    alloc(a, 64),
+                    alloc(b, 128),
+                    TraceOp::Work { units: 10 },
+                    TraceOp::Send { id: a, to: 1 },
+                    TraceOp::Free { id: b },
+                ],
+                vec![TraceOp::Free { id: a }],
+            ],
+        };
+        let sparse = with_ids(u32::MAX - 1, 7);
         let (streams, objects) = dense_streams(&sparse);
         assert_eq!(objects, 2);
         assert_eq!(streams[1], [TraceOp::Free { id: 1 }], "rank keeps id order");
 
         // Same trace with the ids a generator would have given.
-        let dense = Trace::from_text("t0 a 1 64\nt0 a 0 128\nt0 w 10\nt0 s 1 1\nt0 f 0\nt1 f 1\n")
-            .expect("parses");
+        let dense = with_ids(1, 0);
         assert!(matches!(dense_streams(&dense), (Cow::Borrowed(_), 2)));
         let a = replay(&HoardAllocator::new_default(), &sparse);
         let b = replay(&HoardAllocator::new_default(), &dense);
@@ -905,7 +858,12 @@ mod tests {
     #[should_panic(expected = "replay deadlocked")]
     fn free_of_an_object_never_sent_deadlocks_loudly() {
         // Object 0 stays with thread 0; object 9 is never allocated.
-        let t = Trace::from_text("t0 a 0 8\nt1 f 0\nt0 f 9\n").expect("parses");
+        let t = Trace {
+            streams: vec![
+                vec![alloc(0, 8), TraceOp::Free { id: 9 }],
+                vec![TraceOp::Free { id: 0 }],
+            ],
+        };
         replay(&HoardAllocator::new_default(), &t);
     }
 
@@ -913,7 +871,12 @@ mod tests {
     #[should_panic(expected = "send of object not held")]
     fn send_of_an_object_still_in_the_inbox_is_rejected() {
         // Thread 1 forwards object 0 without ever picking it up.
-        let t = Trace::from_text("t0 a 0 8\nt0 s 0 1\nt1 w 5000\nt1 s 0 0\n").expect("parses");
+        let t = Trace {
+            streams: vec![
+                vec![alloc(0, 8), TraceOp::Send { id: 0, to: 1 }],
+                vec![TraceOp::Work { units: 5000 }, TraceOp::Send { id: 0, to: 0 }],
+            ],
+        };
         replay(&HoardAllocator::new_default(), &t);
     }
 

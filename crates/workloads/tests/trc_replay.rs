@@ -45,28 +45,6 @@ fn replay_is_deterministic_across_runs() {
 }
 
 #[test]
-fn replay_with_adaptive_tuning_stays_deterministic() {
-    // The feedback controller runs off the *virtual* clock (ticks are
-    // CAS-claimed at fixed virtual intervals), so replaying the same
-    // trace with tuning enabled must land on identical results every
-    // time — the controller's capacity/threshold moves included.
-    let (trc, _) = small_traffic();
-    let trace = Trace::from_trc(&trc).expect("generated trace converts");
-
-    let run = || {
-        let h = HoardAllocator::with_config(HoardConfig::with_adaptive()).unwrap();
-        h.attach_metrics(Arc::new(h.new_metrics_registry()));
-        replay(&h, &trace)
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.makespan, b.makespan, "tuned makespan must not drift");
-    assert_eq!(a.ops, b.ops);
-    assert_eq!(a.max_live_requested, b.max_live_requested);
-    assert_eq!(a.snapshot, b.snapshot, "tuned counters must match");
-}
-
-#[test]
 fn capture_during_replay_preserves_counts() {
     let (trc, summary) = small_traffic();
     let trace = Trace::from_trc(&trc).expect("generated trace converts");

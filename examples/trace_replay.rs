@@ -4,14 +4,16 @@
 //! This is how allocator research compares candidates apples-to-apples:
 //! the workload is frozen as data, so differences in the results are
 //! attributable to the allocators alone. The trace round-trips through
-//! its text serialization on the way, demonstrating that traces can be
-//! stored in files and shared.
+//! the checksummed binary `.trc` encoding on the way, demonstrating that
+//! traces can be stored in files and shared (`hoardscope trc
+//! gen/replay/report` work on the same files).
 //!
 //! ```text
 //! cargo run --release --example trace_replay
 //! ```
 
 use hoard_harness::AllocatorKind;
+use hoard_core::TrcTrace;
 use hoard_workloads::trace::{replay, synthesize, SynthesisParams, Trace};
 
 fn main() {
@@ -32,15 +34,12 @@ fn main() {
         params.threads * params.allocs_per_thread,
     );
 
-    // Round-trip through the text format (as if loaded from a file).
-    let text = trace.to_text();
-    let trace = Trace::from_text(&text).expect("text round-trip");
+    // Round-trip through the `.trc` bytes (as if loaded from a file).
+    let bytes = trace.to_trc(params.seed, "trace_replay").encode();
+    let trc = TrcTrace::decode(&bytes).expect("checksummed bytes decode");
+    let trace = Trace::from_trc(&trc).expect(".trc round-trip");
     trace.validate().expect("well-formed");
-    println!(
-        "text serialization: {} KiB, first lines:\n{}",
-        text.len() / 1024,
-        text.lines().take(3).collect::<Vec<_>>().join("\n"),
-    );
+    println!(".trc encoding: {} KiB", bytes.len() / 1024);
 
     println!(
         "\n{:<10} {:>12} {:>10} {:>12} {:>8}",
