@@ -7,23 +7,10 @@
 //! fullness group matching its occupancy), and the emptiness-invariant
 //! postcondition, heap-wide for the empties and per size class for the
 //! partials. It is O(heap contents) and meant for tests, not production
-//! paths.
-//!
-//! Under the lock-free back-end the scan widens to the other two owner
-//! domains: each magazine slot's private mini-heap (claimed like any
-//! slot operation, then scanned against its own `u`/`a`) reports as a
-//! [`HeapObservation`] with index `SLOT_OWNER_BASE + slot`, and the
-//! global Treiber-stack cache is walked quiescently in place of the
-//! (then inert) global heap's lists, reporting as index 0.
-//!
-//! Across all three domains the walk also counts the big-class blocks
-//! parked on deferred stacks, which the allocator's `parked_big` must
-//! match exactly at quiescence, and it holds every gauge the `live` cell
-//! is read against to its bound.
+//! paths. It also holds every gauge the `live` cell is read against to
+//! its bound.
 
-use crate::hoard::{HoardAllocator, SLOT_OWNER_BASE};
-use crate::Frontend;
-use crate::magazine::MAG_CLASSES;
+use crate::hoard::HoardAllocator;
 use crate::superblock::Superblock;
 use hoard_mem::{ChunkSource, LIVE_GRANT, MAX_CLASSES};
 use std::sync::atomic::Ordering::Relaxed;
@@ -57,12 +44,10 @@ pub struct HeapObservation {
     pub superblocks: usize,
     /// How many of those sit drained on the empty list.
     pub empties: usize,
-    /// The populated size classes (none for a slot's private heap,
-    /// which keeps one `u`/`a` pair).
+    /// The populated size classes.
     pub classes: Vec<ClassObservation>,
     /// What the heap holds of the allocator's `live` cell beyond the
-    /// program's bytes (the undrawn part of its grant; a slot's private
-    /// heap takes none).
+    /// program's bytes (the undrawn part of its grant).
     pub live_headroom: u64,
     /// Whether the paper's emptiness invariant `u ≥ a − K·S ∨ u ≥ (1−f)·a`
     /// holds (always reported; only *meaningful* for per-processor heaps).
@@ -77,12 +62,8 @@ impl HeapObservation {
     /// crossed (in between, the armed latch may leave it open), stated
     /// where it binds: a heap violating the heap-wide invariant holds no
     /// *empty* superblock, and a class violating its own holds no
-    /// f-empty superblock of that class. A slot heap answers to the
-    /// heap-wide form alone.
+    /// f-empty superblock of that class.
     pub fn emptiness_postcondition_holds(&self) -> bool {
-        if self.classes.is_empty() {
-            return self.invariant_holds || !self.has_f_empty_superblock;
-        }
         let settled = |c: &ClassObservation| c.invariant_holds || !c.has_f_empty_superblock;
         (self.invariant_holds || self.empties == 0) && self.classes.iter().all(settled)
     }
@@ -126,9 +107,8 @@ impl Validation {
     }
 }
 
-/// What [`validate`] requires of any superblock wherever it is linked:
-/// intact magic, the owner of the domain `who` that links it, and no
-/// more blocks out than it has.
+/// What [`validate`] requires of any superblock a heap links: intact
+/// magic, that heap as its owner, and no more blocks out than it has.
 unsafe fn check_superblock(who: &str, owner: usize, sb: *mut Superblock, errors: &mut Vec<String>) {
     if (*sb).magic != crate::superblock::SB_MAGIC {
         errors.push(format!("{who}: superblock with bad magic"));
@@ -152,14 +132,6 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
     let cfg = alloc.config();
     let mut heaps = Vec::new();
     let mut errors = Vec::new();
-    // Blocks of the big classes on deferred stacks, wherever their
-    // superblock is linked: `parked_big` must say exactly this.
-    let mut parked_big = 0u64;
-    let mut count_parked = |sb: *mut Superblock| unsafe {
-        if (*sb).class as usize >= MAG_CLASSES {
-            parked_big += Superblock::remote_len(sb) as u64;
-        }
-    };
 
     for (index, heap) in alloc.heaps().iter().enumerate() {
         let _guard = heap.lock.lock();
@@ -176,7 +148,6 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
         let who = format!("heap {index}");
         unsafe {
             heap.for_each_superblock(|sb| {
-                count_parked(sb);
                 scanned_count += 1;
                 scanned_usable += Superblock::usable_bytes(sb);
                 if (*sb).group == u8::MAX {
@@ -258,144 +229,6 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
         });
     }
 
-    if cfg.frontend == Frontend::LockFree {
-        // The global heap is inert in this mode: every transfer rides
-        // the cache. Anything linked or counted there is a leak from
-        // the locked paths.
-        if let Some(g) = heaps.first() {
-            if g.u != 0 || g.a != 0 || g.superblocks != 0 {
-                errors.push("lockfree: global heap holds state (cache should)".into());
-            }
-        }
-
-        // Replace the inert global-heap observation with a quiescent
-        // walk of the cache — the lock-free owner domain 0. Cached
-        // superblocks have no live counters (accounting is debited on
-        // retirement and credited on adoption), so the observation is
-        // purely scan-derived.
-        let mut used = 0u64;
-        let mut usable = 0u64;
-        let mut count = 0usize;
-        let mut drained = 0usize;
-        let mut has_f_empty = false;
-        unsafe {
-            alloc.cache().for_each(|sb| {
-                count_parked(sb);
-                count += 1;
-                used += Superblock::used_bytes(sb);
-                usable += Superblock::usable_bytes(sb);
-                if (*sb).in_use == 0 {
-                    drained += 1;
-                }
-                check_superblock("cache", 0, sb, &mut errors);
-                has_f_empty |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
-            });
-        }
-        if alloc.cache().is_empty() != (count == 0) {
-            errors.push("cache: is_empty disagrees with walk".into());
-        }
-        // Quiescently, a cached superblock is drained iff it sits on
-        // the empty stack (partials are pushed with live blocks and
-        // only settle/adoption touch them), so the approximate counter
-        // must be exact here.
-        if alloc.cache().empty_count() != drained {
-            errors.push(format!(
-                "cache: empty_count {} != walked drained superblocks {drained}",
-                alloc.cache().empty_count()
-            ));
-        }
-        heaps[0] = HeapObservation {
-            index: 0,
-            u: used,
-            a: usable,
-            superblocks: count,
-            empties: drained,
-            classes: Vec::new(),
-            live_headroom: heaps[0].live_headroom,
-            invariant_holds: true, // not meaningful for the cache
-            has_f_empty_superblock: has_f_empty,
-        };
-
-        for (i, slot) in alloc.frontend().iter().enumerate() {
-            let claim = slot.claim();
-            let sh = claim.heap();
-            let index = SLOT_OWNER_BASE + i;
-            let mut scanned_used = 0u64;
-            let mut scanned_usable = 0u64;
-            let mut scanned_count = 0usize;
-            let mut empties = 0usize;
-            let mut has_f_empty = false;
-            let who = format!("slot {i}");
-            unsafe {
-                sh.for_each(|sb| {
-                    count_parked(sb);
-                    scanned_count += 1;
-                    scanned_used += Superblock::used_bytes(sb);
-                    scanned_usable += Superblock::usable_bytes(sb);
-                    check_superblock(&who, index, sb, &mut errors);
-                    has_f_empty |= cfg.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                    // Slots keep no fullness groups: binned superblocks
-                    // carry group 0, empty-list ones the sentinel.
-                    match (*sb).group {
-                        u8::MAX => {
-                            empties += 1;
-                            if (*sb).in_use != 0 {
-                                errors.push(format!(
-                                    "slot {i}: non-empty superblock on the empty list"
-                                ));
-                            }
-                        }
-                        0 => {
-                            if (*sb).class as usize >= MAG_CLASSES {
-                                errors.push(format!(
-                                    "slot {i}: binned superblock of non-front-end class {}",
-                                    (*sb).class
-                                ));
-                            }
-                            if (*sb).in_use == 0 {
-                                errors.push(format!(
-                                    "slot {i}: drained superblock still in a class bin"
-                                ));
-                            }
-                        }
-                        g => errors.push(format!("slot {i}: unexpected group {g}")),
-                    }
-                });
-            }
-            if empties != sh.empty_count {
-                errors.push(format!(
-                    "slot {i}: empty_count {} != walked empties {empties}",
-                    sh.empty_count
-                ));
-            }
-            if scanned_used != sh.u {
-                errors.push(format!(
-                    "slot {i}: u counter {} != scanned used bytes {scanned_used}",
-                    sh.u
-                ));
-            }
-            if scanned_usable != sh.a {
-                errors.push(format!(
-                    "slot {i}: a counter {} != scanned usable bytes {scanned_usable}",
-                    sh.a
-                ));
-            }
-            if scanned_count > 0 || sh.u != 0 || sh.a != 0 {
-                heaps.push(HeapObservation {
-                    index,
-                    u: sh.u,
-                    a: sh.a,
-                    superblocks: scanned_count,
-                    empties,
-                    classes: Vec::new(),
-                    live_headroom: 0,
-                    invariant_holds: !cfg.invariant_violated(sh.u, sh.a),
-                    has_f_empty_superblock: has_f_empty,
-                });
-            }
-        }
-    }
-
     // The cell counts the program's bytes *plus* what the shards hold of
     // it, so a shard gauge that lost a decrement shows here (it would
     // only saturate `live_current` to 0, which is what a test expects).
@@ -414,12 +247,6 @@ pub fn validate<Src: ChunkSource>(alloc: &HoardAllocator<Src>) -> Validation {
             ));
         }
         deferred_headroom += headroom;
-    }
-    if alloc.parked_big() != parked_big {
-        errors.push(format!(
-            "parked_big {} != {parked_big} big-class blocks walked on deferred stacks",
-            alloc.parked_big()
-        ));
     }
 
     // The large pool holds at most what the program itself has had out

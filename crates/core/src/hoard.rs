@@ -29,12 +29,10 @@
 //! `tests/invariants.rs` verify.
 
 use crate::config::{Frontend, HoardConfig};
-use crate::global_cache::GlobalCache;
 use crate::harden::{self, CorruptionKind, CorruptionLog};
 use crate::heap::Heap;
 use crate::magazine::{
-    Magazine, MagazineSlot, SlotClaim, SlotHeap, MAGAZINE_BATCH, MAGAZINE_CAPACITY, MAG_CLASSES,
-    MAG_SLOTS,
+    Magazine, MagazineSlot, SlotClaim, MAGAZINE_BATCH, MAGAZINE_CAPACITY, MAG_CLASSES, MAG_SLOTS,
 };
 use crate::superblock::Superblock;
 use crate::HEAPS;
@@ -56,16 +54,12 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering::AcqRel, Ordering::Acquir
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Mutex};
 
-/// Alignment of every superblock chunk. `GlobalCache` packs a 12-bit
-/// ABA tag into the low bits of a superblock's base, so it is at least
-/// 4 KiB.
+/// Alignment of every superblock chunk: a page. No lookup needs it (a
+/// block finds its superblock through its header); the hardened `free`
+/// uses it to refuse a header that names a superblock off a page
+/// boundary before it reads that address's magic. Nothing else depends
+/// on the value, which stays what it was.
 const CHUNK_ALIGN: usize = 4096;
-
-/// First pseudo-owner index naming a magazine slot's private mini-heap
-/// (lock-free back-end only). `Superblock::owner` then encodes three
-/// domains: `0` = global (heap 0, or the lock-free cache), `1..=HEAPS`
-/// = per-processor heaps, `SLOT_OWNER_BASE + s` = magazine slot `s`.
-pub(crate) const SLOT_OWNER_BASE: usize = HEAPS + 1;
 
 /// Counters for the allocator's out-of-memory recovery path: when the
 /// chunk source refuses a chunk, the allocator returns every completely
@@ -164,21 +158,6 @@ pub struct HoardAllocator<Src: ChunkSource = SystemSource> {
     /// detached free blocks (slot = `proc % MAG_SLOTS`). Inert under
     /// `Frontend::Off`.
     frontend: [MagazineSlot; MAG_SLOTS],
-    /// Lock-free global superblock cache (Treiber stacks); replaces the
-    /// global heap's lock entirely under `Frontend::LockFree`.
-    /// Inert otherwise.
-    cache: GlobalCache,
-    /// Blocks of classes `≥ MAG_CLASSES` parked on deferred stacks. Only
-    /// `lockfree_remote_free` parks such a block (while its superblock
-    /// is cached or, transiently, a slot's), raising this *before* the
-    /// push; each drain lowers it by what it took (`taken_remote`). The
-    /// push's Release CAS and the drain's Acquire swap order the two, so
-    /// it never goes below the truth, and it is exact at quiescence:
-    /// while it is 0 an exhausted big class has nothing to recover, and
-    /// skips the walk (`defers_frees`). It publishes nothing, so it is
-    /// read Relaxed; a reader racing a push at worst skips one walk,
-    /// which that class's next exhaustion makes.
-    parked_big: AtomicU64,
     /// The attached telemetry (null = unobserved): a raw `Arc<Probe>`
     /// installed by [`attach`](HoardAllocator::attach). When null, every
     /// telemetry site pays one atomic load and a branch — and zero
@@ -246,8 +225,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             large: LargePool::new(),
             recovery: RecoveryStats::new(),
             frontend: [const { MagazineSlot::new() }; MAG_SLOTS],
-            cache: GlobalCache::new(),
-            parked_big: AtomicU64::new(0),
             probe: AtomicPtr::new(std::ptr::null_mut()),
             retired: Mutex::new(Vec::new()),
         }
@@ -499,27 +476,11 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     }
 
     /// Whether blocks of `class` may be sitting on deferred stacks
-    /// instead of free lists. The locked back-end defers only through
-    /// the front-end, which serves classes below `MAG_CLASSES`; the
-    /// lock-free back-end also defers frees of bigger classes whose
-    /// superblock sits in a CAS-guarded domain (`free_dispatch`), which
-    /// `parked_big` counts.
+    /// instead of free lists: only the front-end defers, and it serves
+    /// the classes below `MAG_CLASSES`.
     #[inline]
     fn defers_frees(&self, class: usize) -> bool {
-        if class < MAG_CLASSES {
-            self.magazines_on()
-        } else {
-            self.lockfree() && self.parked_big.load(Relaxed) != 0
-        }
-    }
-
-    /// `n` blocks of `sb` just left its deferred stack for its free
-    /// list: lower `parked_big` by them if `sb` is of a big class.
-    #[inline]
-    unsafe fn taken_remote(&self, sb: *mut Superblock, n: u32) {
-        if (*sb).class as usize >= MAG_CLASSES {
-            self.parked_big.fetch_sub(n as u64, Relaxed);
-        }
+        class < MAG_CLASSES && self.magazines_on()
     }
 
     /// Book one deferred remote free of `bytes` under the calling
@@ -548,12 +509,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     fn refill_batch(&self, block_size: u32) -> usize {
         let quarter = self.config.superblock_size / (4 * block_size as usize);
         MAGAZINE_BATCH.min(quarter).max(1)
-    }
-
-    /// Whether the lock-free back-end is enabled (it comes with the
-    /// magazines).
-    fn lockfree(&self) -> bool {
-        self.config.frontend == Frontend::LockFree
     }
 
     /// Layout of one superblock chunk: `S` bytes at `CHUNK_ALIGN`.
@@ -611,11 +566,7 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             }
             None => {
                 charge_cost(Cost::MallocFast);
-                let got = if self.lockfree() {
-                    self.refill_lockfree(claim.heap(), current_proc() % MAG_SLOTS, class, mag)
-                } else {
-                    self.refill_magazine(class, mag)
-                };
+                let got = self.refill_magazine(class, mag);
                 self.with_probe(|p| {
                     p.magazine_refill(self.heap_index_for_current_thread(), class, got)
                 });
@@ -668,6 +619,13 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// into `mag` under one acquisition of the caller's heap lock.
     /// Returns the number of blocks obtained (0 = heap and source
     /// exhausted).
+    ///
+    /// Out of line, like `flush_magazine` and `free_small`: inlined,
+    /// these slow paths share registers and stack with the magazine hits
+    /// beside them, so the hits' speed follows whatever the slow paths
+    /// compile to. Deleting one branch of the refill moved churn-local's
+    /// `hoard_mag` from 13.2 to 13.6 ns a call; out of line it reads 12.9.
+    #[inline(never)]
     unsafe fn refill_magazine(&self, class: usize, mag: &mut Magazine) -> usize {
         let hi = self.heap_index_for_current_thread();
         let heap = &self.heaps[hi];
@@ -777,7 +735,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// superblock migrated away since they were stashed go through the
     /// lock-free deferred stacks (never a second heap lock — the lock
     /// order stays per-processor → global). Returns the number of blocks
-    /// that left the magazine.
+    /// that left the magazine. Out of line (see `refill_magazine`).
+    #[inline(never)]
     unsafe fn flush_magazine(&self, class: usize, mag: &mut Magazine) -> usize {
         let level = mag.len();
         let mut batch = [std::ptr::null_mut(); MAGAZINE_BATCH];
@@ -819,7 +778,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         if p.is_null() {
             return false;
         }
-        self.taken_remote(sb, n);
         while !p.is_null() {
             let next = Superblock::remote_next(sb, p);
             Superblock::free_block(sb, p);
@@ -905,19 +863,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             for slot in &self.frontend {
                 self.park_claimed_slot(&slot.claim());
             }
-            if self.lockfree() {
-                // Slot heaps drain only after *every* slot is parked (a
-                // later slot's magazine may hold an earlier slot's
-                // blocks), then settle their invariants.
-                for (i, slot) in self.frontend.iter().enumerate() {
-                    let claim = slot.claim();
-                    let sh = claim.heap();
-                    for class in 0..MAG_CLASSES {
-                        self.drain_slot_class(sh, class);
-                    }
-                    self.restore_slot_invariant(sh, i);
-                }
-            }
             // Per-processor heaps first: their restorations migrate
             // superblocks *to* the global heap, which is settled last.
             for (hi, heap) in self.heaps.iter().enumerate().rev() {
@@ -931,433 +876,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 for class in 0..self.classes.len() {
                     self.restore_invariant(heap, hi, class);
                 }
-            }
-            if self.lockfree() {
-                self.settle_cache();
-            }
-        }
-    }
-
-    // ----- the lock-free back-end -----
-    //
-    // Under `Frontend::LockFree` the three lock rendezvous of the
-    // magazine design disappear:
-    //
-    // * remote frees: each superblock's deferred stack is one packed
-    //   64-bit word (head index | count | ABA tag), so pushes are one
-    //   CAS and the owner drains with one swap;
-    // * the global heap: whole superblocks park on Treiber stacks
-    //   (`GlobalCache`) instead of heap 0's locked lists.
-    //
-    // Small-class superblocks are owned by *magazine slots* (pseudo-
-    // owner `SLOT_OWNER_BASE + slot`), each a claim-guarded mini-heap
-    // (`SlotHeap`) obeying the same emptiness invariant as a heap, so
-    // the paper's O(U + P·S) blowup bound survives with `P` counted as
-    // heaps + slots. Heap locks remain only on the rare fallback paths
-    // (slot collisions and classes too big for magazines).
-
-    /// Lock-free refill: pull a [`refill_batch`](Self::refill_batch)
-    /// for `class` from the slot's own mini-heap, falling back to the
-    /// cache and then the OS. The slot-claim counterpart of
-    /// `refill_magazine`; never takes a heap lock. Returns the number of
-    /// blocks obtained.
-    unsafe fn refill_lockfree(
-        &self,
-        sh: &mut SlotHeap,
-        slot_idx: usize,
-        class: usize,
-        mag: &mut Magazine,
-    ) -> usize {
-        let block_size = self.classes.class(class).block_size;
-        let s = self.config.superblock_size;
-        let me = SLOT_OWNER_BASE + slot_idx;
-        // Parked remote frees are where this class's blocks pool up;
-        // recover them before pulling fresh memory. Slot bins are short
-        // (the invariant bounds them), so one whole-class sweep covers
-        // what the locked path does in two.
-        let mut trigger = self.drain_slot_class(sh, class);
-        let want = self.refill_batch(block_size);
-        let mut got = 0usize;
-        while got < want {
-            // The same waterfall as `take_blocks`, against the slot's
-            // structures: bin → own empty → cache → OS.
-            let mut sb = sh.find_with_free(class);
-            if sb.is_null() {
-                sb = sh.pop_empty();
-                if !sb.is_null() {
-                    if (*sb).class as usize != class {
-                        let before = Superblock::usable_bytes(sb);
-                        Superblock::reformat(sb, s, class as u32, block_size, self.block_extra());
-                        sh.a += Superblock::usable_bytes(sb);
-                        sh.a -= before;
-                    }
-                    sh.link(sb);
-                }
-            }
-            if sb.is_null() {
-                sb = self.adopt_from_cache(sh, me, class, block_size);
-            }
-            if sb.is_null() {
-                let Some(chunk) = self.source.alloc_chunk(self.superblock_layout()) else {
-                    break;
-                };
-                sb = Superblock::init(
-                    chunk.as_ptr(),
-                    s,
-                    class as u32,
-                    block_size,
-                    me,
-                    self.block_extra(),
-                );
-                sh.a += Superblock::usable_bytes(sb);
-                sh.link(sb);
-            }
-            if Superblock::remote_pending(sb) {
-                // Draining can re-home `sb` onto the empty list;
-                // reselect instead of allocating from a moved superblock.
-                trigger |= self.drain_slot_sb(sh, sb);
-                continue;
-            }
-            let mut taken = 0u64;
-            while got < want && Superblock::has_free(sb) {
-                mag.push(self.take_block(sb, block_size));
-                taken += 1;
-                got += 1;
-            }
-            sh.u += taken * block_size as u64;
-            if !self.config.f_empty_blocks((*sb).in_use, (*sb).capacity) {
-                (*sb).armed = true;
-            }
-        }
-        // Same armed-latch hysteresis as `take_blocks`.
-        if trigger {
-            self.restore_slot_invariant(sh, slot_idx);
-        }
-        got
-    }
-
-    /// Adopt one superblock from the lock-free cache into a slot heap:
-    /// partials of `class` first, then an empty to reformat. One CAS
-    /// per stack attempted; accounting is pure post-adoption arithmetic
-    /// on the claim-guarded slot counters.
-    unsafe fn adopt_from_cache(
-        &self,
-        sh: &mut SlotHeap,
-        me: usize,
-        class: usize,
-        block_size: u32,
-    ) -> *mut Superblock {
-        let mut sb = self.cache.pop_partial(class);
-        if sb.is_null() {
-            sb = self.cache.pop_empty();
-            if !sb.is_null() && (*sb).class as usize != class {
-                Superblock::reformat(
-                    sb,
-                    self.config.superblock_size,
-                    class as u32,
-                    block_size,
-                    self.block_extra(),
-                );
-            }
-        }
-        if sb.is_null() {
-            return sb;
-        }
-        charge_cost(Cost::AtomicRmw);
-        Superblock::set_owner(sb, me);
-        sh.a += Superblock::usable_bytes(sb);
-        sh.u += Superblock::used_bytes(sb);
-        sh.link(sb);
-        self.stats.on_transfer_from_global();
-        charge_cost(Cost::SuperblockTransfer);
-        let pct = fullness_pct(sb);
-        self.with_probe(|p| p.transfer_from_global(0, pct));
-        sb
-    }
-
-    /// `free` for the lock-free back-end (small classes). Same-slot
-    /// blocks stash into the magazine under the claim; everything else
-    /// rides the superblock's packed remote word. Never takes a heap
-    /// lock.
-    unsafe fn lockfree_free(&self, sb: *mut Superblock, payload: *mut u8) {
-        let block_size = (*sb).block_size;
-        let class = (*sb).class as usize;
-        let slot_idx = current_proc() % MAG_SLOTS;
-        let me = SLOT_OWNER_BASE + slot_idx;
-        if Superblock::owner(sb) == me {
-            if let Some(claim) = self.frontend[slot_idx].try_claim() {
-                // Owner can only change under this slot's claim, so the
-                // re-check below makes the read stable for the stash.
-                if Superblock::owner(sb) == me {
-                    let mag = claim.magazine(class);
-                    if mag.len() >= MAGAZINE_CAPACITY {
-                        let n = self.flush_magazine_lockfree(claim.heap(), slot_idx, class, mag);
-                        // Guard: `claim`; the batch's bytes in one RMW.
-                        self.stats
-                            .on_magazine_flush_in(claim.stats(), n as u64 * block_size as u64);
-                    }
-                    if !self.harden_on_stash(sb, payload, block_size) {
-                        return; // quarantined: handled, nothing stashed
-                    }
-                    mag.push(payload);
-                    charge_cost(Cost::MagazineOp);
-                    // Guard: `claim`. The block stays out of the heaps:
-                    // no shared cell moves.
-                    claim.stats().on_magazine_free(block_size as u64);
-                    self.with_probe(|p| {
-                        p.magazine_free(self.heap_index_for_current_thread(), class)
-                    });
-                    return;
-                }
-            }
-        }
-        // Foreign (another slot, a heap, the cache) or claim collision.
-        self.lockfree_remote_free(sb, payload);
-    }
-
-    /// Account and defer one free onto `sb`'s packed remote word
-    /// (hardening transforms included; quarantine swallows the push).
-    unsafe fn lockfree_remote_free(&self, sb: *mut Superblock, payload: *mut u8) {
-        if !self.harden_on_stash(sb, payload, (*sb).block_size) {
-            return;
-        }
-        let owner = Superblock::owner(sb);
-        // No caller holds a claim here: the books take the caller's own.
-        self.book_deferred_free((*sb).block_size as u64);
-        // A slot-owned superblock is metered against the global heap.
-        let class = (*sb).class as usize;
-        let hi = if owner <= HEAPS { owner } else { 0 };
-        self.with_probe(|p| p.remote_free(hi, class, owner));
-        if class >= MAG_CLASSES {
-            // Before the push, so a drain can never take it below zero.
-            self.parked_big.fetch_add(1, Relaxed);
-        }
-        self.push_remote_lockfree(sb, payload);
-    }
-
-    /// Push one block onto `sb`'s packed remote word; when the stack
-    /// crosses `remote_limit`, try to steal the owner's structure and
-    /// drain in place (the lock-free analogue of the forced-drain
-    /// fallback in `frontend_free`).
-    unsafe fn push_remote_lockfree(&self, sb: *mut Superblock, payload: *mut u8) {
-        let count = Superblock::push_remote(sb, payload);
-        charge_cost(Cost::AtomicRmw);
-        if count >= Self::remote_limit((*sb).capacity) {
-            self.steal_drain(sb);
-        }
-    }
-
-    /// Drain a superblock whose remote stack crossed the threshold,
-    /// wherever it lives: a slot heap (claim it), a per-processor heap
-    /// (lock it), or the cache (nothing to do — adoption drains). Best
-    /// effort: a busy owner keeps the stack until its next operation.
-    unsafe fn steal_drain(&self, sb: *mut Superblock) {
-        let owner = Superblock::owner(sb);
-        if owner == 0 {
-            return;
-        }
-        if owner >= SLOT_OWNER_BASE {
-            let slot_idx = owner - SLOT_OWNER_BASE;
-            if let Some(claim) = self.frontend[slot_idx].try_claim() {
-                // Stable once re-checked under the claim (see
-                // `lockfree_free`).
-                if Superblock::owner(sb) == owner {
-                    let sh = claim.heap();
-                    if self.drain_slot_sb(sh, sb) {
-                        self.restore_slot_invariant(sh, slot_idx);
-                    }
-                }
-            }
-            return;
-        }
-        let heap = &self.heaps[owner];
-        let guard = self.lock_heap(heap, owner);
-        if Superblock::owner(sb) != owner {
-            return; // migrated while we were locking; its new owner drains
-        }
-        if self.drain_remote_locked(heap, sb) {
-            self.restore_invariant(heap, owner, (*sb).class as usize);
-        }
-        drop(guard);
-    }
-
-    /// Drain `sb`'s packed remote word into its free list with one
-    /// atomic swap. Caller holds the owning slot's claim; `sb` is
-    /// linked in `sh`. Returns whether to trigger invariant restoration
-    /// (the armed-latch hysteresis of `drain_remote_locked`).
-    unsafe fn drain_slot_sb(&self, sh: &mut SlotHeap, sb: *mut Superblock) -> bool {
-        let (mut p, n) = Superblock::take_remote(sb);
-        charge_cost(Cost::AtomicRmw);
-        if p.is_null() {
-            return false;
-        }
-        self.taken_remote(sb, n);
-        let was_f_empty = self.config.f_empty_blocks((*sb).in_use, (*sb).capacity);
-        let block_size = (*sb).block_size as u64;
-        while !p.is_null() {
-            let next = Superblock::remote_next(sb, p);
-            Superblock::free_block(sb, p);
-            p = next;
-        }
-        sh.u -= block_size * n as u64;
-        sh.relink(sb);
-        self.stats.on_remote_drain();
-        self.emit(EventKind::RemoteFreeDrain, (*sb).class, n as u64);
-        let crossed = !was_f_empty && self.config.f_empty_blocks((*sb).in_use, (*sb).capacity);
-        let too_many_empties = (*sb).in_use == 0 && sh.empty_count > self.config.slack_k;
-        let trigger = ((*sb).armed && crossed) || too_many_empties;
-        if crossed {
-            (*sb).armed = false;
-            self.emit(EventKind::EmptinessCross, 0, 0);
-        }
-        trigger
-    }
-
-    /// Drain every pending remote stack on `class`'s superblocks in a
-    /// slot heap. Returns the accumulated restoration trigger.
-    unsafe fn drain_slot_class(&self, sh: &mut SlotHeap, class: usize) -> bool {
-        let mut trigger = false;
-        let mut sb = sh.class_head(class);
-        while !sb.is_null() {
-            let next = (*sb).next; // drain may relink; step first
-            if Superblock::remote_pending(sb) {
-                trigger |= self.drain_slot_sb(sh, sb);
-            }
-            sb = next;
-        }
-        trigger
-    }
-
-    /// Lock-free flush: return the oldest half of the `class` magazine.
-    /// Slot-owned blocks free directly under the claim; blocks whose
-    /// superblock migrated away ride its remote word. The slot-claim
-    /// counterpart of `flush_magazine`; returns the number of blocks
-    /// that left the magazine.
-    unsafe fn flush_magazine_lockfree(
-        &self,
-        sh: &mut SlotHeap,
-        slot_idx: usize,
-        class: usize,
-        mag: &mut Magazine,
-    ) -> usize {
-        let level = mag.len();
-        let mut batch = [std::ptr::null_mut(); MAGAZINE_BATCH];
-        let n = mag.take_oldest(MAGAZINE_BATCH, &mut batch);
-        let me = SLOT_OWNER_BASE + slot_idx;
-        self.with_probe(|p| {
-            p.magazine_flush(self.heap_index_for_current_thread(), class, level, n)
-        });
-        let mut trigger = false;
-        for &p in &batch[..n] {
-            let sb = self.unload(p);
-            if Superblock::owner(sb) == me {
-                let was_f_empty = self.config.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                Superblock::free_block(sb, p);
-                sh.u -= (*sb).block_size as u64;
-                sh.relink(sb);
-                let crossed = !was_f_empty && self.config.f_empty_blocks((*sb).in_use, (*sb).capacity);
-                let too_many_empties = (*sb).in_use == 0 && sh.empty_count > self.config.slack_k;
-                trigger |= ((*sb).armed && crossed) || too_many_empties;
-                if crossed {
-                    (*sb).armed = false;
-                    self.emit(EventKind::EmptinessCross, 0, 0);
-                }
-            } else {
-                let _ = Superblock::push_remote(sb, p);
-                charge_cost(Cost::AtomicRmw);
-            }
-        }
-        if trigger {
-            self.restore_slot_invariant(sh, slot_idx);
-        }
-        n
-    }
-
-    /// Re-establish the emptiness invariant on a slot heap by retiring
-    /// superblocks to the lock-free cache: the same policy and
-    /// hysteresis as `restore_invariant`, with CAS pushes in place of
-    /// heap 0's lock. Caller holds the slot's claim.
-    unsafe fn restore_slot_invariant(&self, sh: &mut SlotHeap, _slot_idx: usize) {
-        let mut moved_partial = false;
-        loop {
-            if !self.config.invariant_violated(sh.u, sh.a) {
-                return;
-            }
-            let (victim, used) = if moved_partial {
-                // Only empties may continue the loop.
-                (sh.pop_empty(), 0)
-            } else {
-                sh.take_emptiest(&self.config)
-            };
-            if victim.is_null() {
-                return; // nothing eligible (transient; see module docs)
-            }
-            if (*victim).in_use != 0 {
-                moved_partial = true;
-            }
-            sh.a -= Superblock::usable_bytes(victim);
-            sh.u -= used;
-            self.retire_to_cache(victim, 0);
-        }
-    }
-
-    /// Push an unlinked superblock the caller exclusively owns onto the
-    /// cache (empty stack, or its class's partial stack) and hand it to
-    /// the global domain. One CAS; no lock. `from` is the heap index
-    /// reported to telemetry (0 for slot retirements).
-    unsafe fn retire_to_cache(&self, victim: *mut Superblock, from: usize) {
-        // Ownership must transfer *before* the push publishes the
-        // superblock: the popper adopts it immediately, and concurrent
-        // frees routed by a stale slot/heap owner would chase a
-        // structure that no longer tracks it. Frees that see owner 0
-        // defer onto the remote word, which survives the transfer.
-        Superblock::set_owner(victim, 0);
-        charge_cost(Cost::AtomicRmw);
-        let pct = fullness_pct(victim);
-        if (*victim).in_use == 0 {
-            self.cache.push_empty(victim);
-        } else {
-            self.cache.push_partial((*victim).class as usize, victim);
-        }
-        self.stats.on_transfer_to_global();
-        charge_cost(Cost::SuperblockTransfer);
-        self.with_probe(|p| p.transfer_to_global(from, pct));
-    }
-
-    /// Quiescent sweep of the cache: drain deferred frees parked on
-    /// cached partials (pop → drain → re-push through an intrusive
-    /// local chain; allocation-free) and re-home drained ones onto the
-    /// empty stack.
-    unsafe fn settle_cache(&self) {
-        for class in 0..self.classes.len() {
-            let mut kept: *mut Superblock = std::ptr::null_mut();
-            loop {
-                let sb = self.cache.pop_partial(class);
-                if sb.is_null() {
-                    break;
-                }
-                if Superblock::remote_pending(sb) {
-                    let (mut p, n) = Superblock::take_remote(sb);
-                    self.taken_remote(sb, n);
-                    while !p.is_null() {
-                        let next = Superblock::remote_next(sb, p);
-                        Superblock::free_block(sb, p);
-                        p = next;
-                    }
-                    self.stats.on_remote_drain();
-                    self.emit(EventKind::RemoteFreeDrain, (*sb).class, n as u64);
-                }
-                if (*sb).in_use == 0 {
-                    self.cache.push_empty(sb);
-                } else {
-                    (*sb).next = kept;
-                    kept = sb;
-                }
-            }
-            while !kept.is_null() {
-                let next = (*kept).next;
-                self.cache.push_partial(class, kept);
-                kept = next;
             }
         }
     }
@@ -1536,11 +1054,10 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     }
 
     /// Step 3 of `malloc`: while holding heap `hi`'s lock, move one
-    /// suitable superblock over from the global domain — the locked
-    /// global heap, or the lock-free cache. Returns the superblock
-    /// linked into `heap`, or null. The global heap gives the fullest
-    /// partial of `class` first, then the newest empty that `heap` gave
-    /// it, then the newest empty.
+    /// suitable superblock over from the global heap. Returns the
+    /// superblock linked into `heap`, or null. The global heap gives the
+    /// fullest partial of `class` first, then the newest empty that
+    /// `heap` gave it, then the newest empty.
     unsafe fn fetch_from_global(
         &self,
         heap: &Heap,
@@ -1548,26 +1065,14 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         class: usize,
         block_size: u32,
     ) -> *mut Superblock {
-        let sb = if self.lockfree() {
-            let mut sb = self.cache.pop_partial(class);
-            if sb.is_null() {
-                sb = self.cache.pop_empty();
-            }
-            if sb.is_null() {
-                return sb;
-            }
-            charge_cost(Cost::AtomicRmw);
-            Superblock::set_owner(sb, hi);
-            sb
-        } else {
-            // The global lock covers only list surgery, accounting, and
-            // the ownership handoff; the (comparatively expensive)
-            // reformat runs after it drops. Ownership *must* transfer
-            // under the lock: a concurrent free still reading owner 0
-            // would lock heap 0 and relink the already-unlinked
-            // superblock there. Once the owner reads `hi`, such frees
-            // serialize on heap `hi`'s lock — which the caller holds for
-            // the duration of the reformat.
+        // The global lock covers only list surgery, accounting, and the
+        // ownership handoff; the (comparatively expensive) reformat runs
+        // after it drops. Ownership *must* transfer under the lock: a
+        // concurrent free still reading owner 0 would lock heap 0 and
+        // relink the already-unlinked superblock there. Once the owner
+        // reads `hi`, such frees serialize on heap `hi`'s lock — which
+        // the caller holds for the duration of the reformat.
+        let sb = {
             let global = &self.heaps[0];
             let _g0 = self.lock_heap(global, 0);
             let found = global.find_with_free(class);
@@ -1611,23 +1116,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
     /// magazines are on and the class qualifies, else (or on fallback)
     /// through the locked path.
     unsafe fn free_dispatch(&self, sb: *mut Superblock, payload: *mut u8) {
-        if self.lockfree() {
-            if ((*sb).class as usize) < MAG_CLASSES {
-                self.lockfree_free(sb, payload);
-                return;
-            }
-            let owner = Superblock::owner(sb);
-            if owner == 0 || owner >= SLOT_OWNER_BASE {
-                // A big-class superblock in a CAS-guarded domain (the
-                // cache, or transiently a slot): its lists must never be
-                // mutated under heap 0's lock, so defer onto the remote
-                // word — the next adopter drains.
-                self.lockfree_remote_free(sb, payload);
-                return;
-            }
-            self.free_small(sb, payload);
-            return;
-        }
         if self.magazines_on()
             && ((*sb).class as usize) < MAG_CLASSES
             && self.frontend_free(sb, payload)
@@ -1637,16 +1125,11 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         self.free_small(sb, payload);
     }
 
+    /// The paper's locked `free`; out of line (see `refill_magazine`).
+    #[inline(never)]
     unsafe fn free_small(&self, sb: *mut Superblock, payload: *mut u8) {
         loop {
             let owner = Superblock::owner(sb);
-            if self.lockfree() && (owner == 0 || owner >= SLOT_OWNER_BASE) {
-                // Migrated into a CAS-guarded domain between dispatch
-                // and lock: defer instead (heap 0 is never locked for
-                // superblock traffic in this mode).
-                self.lockfree_remote_free(sb, payload);
-                return;
-            }
             let heap = &self.heaps[owner];
             let guard = self.lock_heap(heap, owner);
             if Superblock::owner(sb) != owner {
@@ -1790,11 +1273,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
             heap.guarded_sub(&heap.a, Superblock::usable_bytes(victim));
             heap.sub_u(class, used);
 
-            if self.lockfree() {
-                self.retire_to_cache(victim, hi);
-                continue;
-            }
-
             let global = &self.heaps[0];
             let _g0 = self.lock_heap(global, 0);
             Superblock::set_owner(victim, 0);
@@ -1849,39 +1327,6 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                 self.emit(EventKind::OomReclaim, hi as u32, here);
             }
             reclaimed += here;
-        }
-        if self.lockfree() {
-            // Slot-owned and cached empties live outside the heaps.
-            let mut extra = 0u64;
-            for slot in &self.frontend {
-                if let Some(claim) = slot.try_claim() {
-                    let sh = claim.heap();
-                    for class in 0..MAG_CLASSES {
-                        self.drain_slot_class(sh, class);
-                    }
-                    loop {
-                        let sb = sh.pop_empty();
-                        if sb.is_null() {
-                            break;
-                        }
-                        sh.a -= Superblock::usable_bytes(sb);
-                        self.free_sb_chunk(sb);
-                        extra += 1;
-                    }
-                }
-            }
-            loop {
-                let sb = self.cache.pop_empty();
-                if sb.is_null() {
-                    break;
-                }
-                self.free_sb_chunk(sb);
-                extra += 1;
-            }
-            if extra > 0 {
-                self.emit(EventKind::OomReclaim, 0, extra);
-            }
-            reclaimed += extra;
         }
         // Parked large chunks are hoarded memory like any empty
         // superblock.
@@ -1949,10 +1394,9 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
                     );
                     return;
                 }
-                let owner = Superblock::owner(sb);
-                let owner_ok = owner <= HEAPS
-                    || (self.lockfree() && owner < SLOT_OWNER_BASE + MAG_SLOTS);
-                if !owner_ok {
+                // Owners are the global heap (0) and the per-processor
+                // heaps (1..=HEAPS); nothing else owns a superblock.
+                if Superblock::owner(sb) > HEAPS {
                     self.report_corruption(
                         CorruptionKind::ForeignPointer,
                         p as usize,
@@ -2034,16 +1478,8 @@ impl<Src: ChunkSource> HoardAllocator<Src> {
         &self.frontend
     }
 
-    pub(crate) fn cache(&self) -> &GlobalCache {
-        &self.cache
-    }
-
     pub(crate) fn live_cell(&self) -> u64 {
         self.stats.live_now()
-    }
-
-    pub(crate) fn parked_big(&self) -> u64 {
-        self.parked_big.load(Relaxed)
     }
 }
 
@@ -2197,37 +1633,6 @@ impl<Src: ChunkSource> Drop for HoardAllocator<Src> {
                 heap.for_each_superblock(|sb| chunks.push(sb));
                 for sb in chunks {
                     self.free_sb_chunk(sb);
-                }
-            }
-        }
-        if self.lockfree() {
-            // Slot-owned and cached superblocks live outside the heaps.
-            unsafe {
-                for slot in &self.frontend {
-                    let claim = slot.try_claim().expect("drop requires quiescence");
-                    let sh = claim.heap();
-                    let mut chunks: Vec<*mut Superblock> = Vec::new();
-                    sh.for_each(|sb| chunks.push(sb));
-                    for sb in chunks {
-                        sh.unlink(sb);
-                        self.free_sb_chunk(sb);
-                    }
-                }
-                loop {
-                    let sb = self.cache.pop_empty();
-                    if sb.is_null() {
-                        break;
-                    }
-                    self.free_sb_chunk(sb);
-                }
-                for class in 0..self.classes.len() {
-                    loop {
-                        let sb = self.cache.pop_partial(class);
-                        if sb.is_null() {
-                            break;
-                        }
-                        self.free_sb_chunk(sb);
-                    }
                 }
             }
         }
@@ -2612,38 +2017,28 @@ mod tests {
         }
     }
 
-    /// The two configurations with a magazine front-end.
-    fn frontends() -> [HoardConfig; 2] {
-        [
-            HoardConfig::with_default_magazines(),
-            HoardConfig::with_lockfree(),
-        ]
-    }
-
     /// DESIGN.md §15's inventory for a hit: no counter of the shared
     /// cell moves, while `stats()` still sees every call.
     #[test]
     fn a_magazine_hit_writes_no_shared_counter() {
         const N: u64 = 1000;
-        for cfg in frontends() {
-            let h = HoardAllocator::with_config(cfg).unwrap();
-            hoard_sim::switch_context(0, 0);
-            unsafe {
-                // Warm: the first allocation refills, its free stashes.
+        let h = HoardAllocator::with_config(HoardConfig::with_default_magazines()).unwrap();
+        hoard_sim::switch_context(0, 0);
+        unsafe {
+            // Warm: the first allocation refills, its free stashes.
+            h.deallocate(h.allocate(64).unwrap());
+            let cell = h.stats.snapshot();
+            let before = h.stats();
+            for _ in 0..N {
                 h.deallocate(h.allocate(64).unwrap());
-                let cell = h.stats.snapshot();
-                let before = h.stats();
-                for _ in 0..N {
-                    h.deallocate(h.allocate(64).unwrap());
-                }
-                assert_eq!(h.stats.snapshot(), cell, "a hit moved the shared cell");
-                let mut want = before;
-                want.allocs += N;
-                want.frees += N;
-                want.magazines.alloc_hits += N;
-                want.magazines.free_hits += N;
-                assert_eq!(h.stats(), want);
             }
+            assert_eq!(h.stats.snapshot(), cell, "a hit moved the shared cell");
+            let mut want = before;
+            want.allocs += N;
+            want.frees += N;
+            want.magazines.alloc_hits += N;
+            want.magazines.free_hits += N;
+            assert_eq!(h.stats(), want);
         }
     }
 
@@ -2734,35 +2129,34 @@ mod tests {
             snap.magazines.remote_pushes += N;
             snap
         };
-        for cfg in frontends() {
-            // Processor 1 frees `N` of processor 0's blocks, its slot held
-            // elsewhere or not: the cell's and the whole snapshot, before
-            // and after, and the slot's headroom.
-            let run = |collide: bool| {
-                let h = HoardAllocator::with_config(cfg).unwrap();
-                hoard_sim::switch_context(0, 0);
-                unsafe {
-                    let blocks: Vec<_> = (0..N).map(|_| h.allocate(64).unwrap()).collect();
-                    hoard_sim::switch_context(1, 0);
-                    let before = (h.stats.snapshot(), h.stats());
-                    let held = collide.then(|| h.frontend[1].try_claim().unwrap());
-                    for p in blocks {
-                        h.deallocate(p);
-                    }
-                    drop(held);
-                    let after = (h.stats.snapshot(), h.stats());
-                    (before, after, h.frontend[1].deferred_headroom())
+        let cfg = HoardConfig::with_default_magazines();
+        // Processor 1 frees `N` of processor 0's blocks, its slot held
+        // elsewhere or not: the cell's and the whole snapshot, before
+        // and after, and the slot's headroom.
+        let run = |collide: bool| {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            hoard_sim::switch_context(0, 0);
+            unsafe {
+                let blocks: Vec<_> = (0..N).map(|_| h.allocate(64).unwrap()).collect();
+                hoard_sim::switch_context(1, 0);
+                let before = (h.stats.snapshot(), h.stats());
+                let held = collide.then(|| h.frontend[1].try_claim().unwrap());
+                for p in blocks {
+                    h.deallocate(p);
                 }
-            };
-            let ((cell, before), (cell_after, after), headroom) = run(false);
-            assert_eq!(cell_after, cell, "a deferred free moved the shared cell");
-            assert_eq!(after, deferred(before));
-            assert_eq!(headroom, N * 64);
-            let ((cell, before_c), (cell_after, after_c), headroom) = run(true);
-            assert_eq!(cell_after, deferred(cell), "a collision books on the cell");
-            assert_eq!((before_c, after_c), (before, after));
-            assert_eq!(headroom, 0);
-        }
+                drop(held);
+                let after = (h.stats.snapshot(), h.stats());
+                (before, after, h.frontend[1].deferred_headroom())
+            }
+        };
+        let ((cell, before), (cell_after, after), headroom) = run(false);
+        assert_eq!(cell_after, cell, "a deferred free moved the shared cell");
+        assert_eq!(after, deferred(before));
+        assert_eq!(headroom, N * 64);
+        let ((cell, before_c), (cell_after, after_c), headroom) = run(true);
+        assert_eq!(cell_after, deferred(cell), "a collision books on the cell");
+        assert_eq!((before_c, after_c), (before, after));
+        assert_eq!(headroom, 0);
     }
 
     /// One slot's deferred frees, well past two grants, interleaved with
@@ -2771,116 +2165,57 @@ mod tests {
     /// deferred headroom goes back to the cell, never the magazines'.
     #[test]
     fn deferred_frees_past_two_grants_keep_live_exact_beside_refills_and_flushes() {
-        for cfg in frontends() {
-            let h = HoardAllocator::with_config(cfg).unwrap();
-            let (mut theirs, mut mine) = (Vec::new(), Vec::new());
-            let (mut live, mut returned, mut last) = (0u64, 0u32, 0u64);
-            let mut rng = 0x2545_F491_4F6C_DD1Du64;
-            for step in 0..20_000u32 {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                // Each list grows for a while and shrinks for a while, so
-                // processor 1's magazine refills and overflows.
-                let grow = (step / 400) % 2 == 0;
-                let to_them = rng & 1 == 0;
-                let held = if to_them { &mut theirs } else { &mut mine };
-                unsafe {
-                    if held.is_empty() || (rng >> 8) % 3 < if grow { 2 } else { 1 } {
-                        hoard_sim::switch_context(if to_them { 0 } else { 1 }, 0);
-                        held.push(h.allocate(64).unwrap());
-                        live += 64;
-                    } else {
-                        // Processor 1 frees either way: its own blocks go
-                        // to its magazine, processor 0's are deferred.
-                        hoard_sim::switch_context(1, 0);
-                        let i = (rng >> 16) as usize % held.len();
-                        h.deallocate(held.swap_remove(i));
-                        live -= 64;
-                    }
+        let h = HoardAllocator::with_config(HoardConfig::with_default_magazines()).unwrap();
+        let (mut theirs, mut mine) = (Vec::new(), Vec::new());
+        let (mut live, mut returned, mut last) = (0u64, 0u32, 0u64);
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        for step in 0..20_000u32 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            // Each list grows for a while and shrinks for a while, so
+            // processor 1's magazine refills and overflows.
+            let grow = (step / 400) % 2 == 0;
+            let to_them = rng & 1 == 0;
+            let held = if to_them { &mut theirs } else { &mut mine };
+            unsafe {
+                if held.is_empty() || (rng >> 8) % 3 < if grow { 2 } else { 1 } {
+                    hoard_sim::switch_context(if to_them { 0 } else { 1 }, 0);
+                    held.push(h.allocate(64).unwrap());
+                    live += 64;
+                } else {
+                    // Processor 1 frees either way: its own blocks go
+                    // to its magazine, processor 0's are deferred.
+                    hoard_sim::switch_context(1, 0);
+                    let i = (rng >> 16) as usize % held.len();
+                    h.deallocate(held.swap_remove(i));
+                    live -= 64;
                 }
-                let s = h.stats();
-                assert_eq!(s.live_current, live, "step {step}: {s:?}");
-                assert!(h.live_cell() >= h.live_in_shards(), "step {step}");
-                for slot in &h.frontend {
-                    assert!(
-                        slot.cached_bytes() < 1 << 32,
-                        "step {step}: a gauge wrapped"
-                    );
-                    assert!(slot.deferred_headroom() <= 2 * LIVE_GRANT, "step {step}");
-                }
-                let headroom = h.frontend[1].deferred_headroom();
-                returned += (headroom < last) as u32;
-                last = headroom;
             }
             let s = h.stats();
-            assert!(returned >= 3, "the headroom went back {returned} times");
-            assert!(s.magazines.refills > 2 && s.magazines.flushes > 2, "{s:?}");
-            unsafe {
-                hoard_sim::switch_context(1, 0);
-                theirs.into_iter().chain(mine).for_each(|p| h.deallocate(p));
+            assert_eq!(s.live_current, live, "step {step}: {s:?}");
+            assert!(h.live_cell() >= h.live_in_shards(), "step {step}");
+            for slot in &h.frontend {
+                assert!(
+                    slot.cached_bytes() < 1 << 32,
+                    "step {step}: a gauge wrapped"
+                );
+                assert!(slot.deferred_headroom() <= 2 * LIVE_GRANT, "step {step}");
             }
-            h.flush_frontend();
-            let v = crate::debug::validate(&h);
-            assert!(v.is_consistent(), "{:?}", v.errors);
-            assert_eq!(h.stats().live_current, 0);
+            let headroom = h.frontend[1].deferred_headroom();
+            returned += (headroom < last) as u32;
+            last = headroom;
         }
-    }
-
-    /// A big-class block deferred onto a cached partial stays counted in
-    /// `parked_big` while a heap adopts that superblock; the heap's next
-    /// pick of the superblock drains it and hands the block out again
-    /// before the superblock's untouched blocks, without a fresh chunk.
-    #[test]
-    fn a_big_block_parked_on_a_cached_partial_is_recovered_after_adoption() {
-        let source = SystemSource::new();
-        let h = HoardAllocator::with_source(HoardConfig::with_lockfree(), &source).unwrap();
-        let size = 2048;
-        let class = h.classes.index_for(size).unwrap();
-        assert!(class >= MAG_CLASSES);
+        let s = h.stats();
+        assert!(returned >= 3, "the headroom went back {returned} times");
+        assert!(s.magazines.refills > 2 && s.magazines.flushes > 2, "{s:?}");
         unsafe {
-            hoard_sim::switch_context(0, 0);
-            let a = h.allocate(size).unwrap();
-            let b = h.allocate(size).unwrap();
-            let sb = read_header(a.as_ptr()).value as *mut Superblock;
-            assert_eq!(read_header(b.as_ptr()).value, sb as usize);
-            assert!((*sb).capacity > 2);
-            // Heap 1 retires it to the cache as a partial, as
-            // `restore_invariant` would.
-            let heap = &h.heaps[1];
-            {
-                let _guard = h.lock_heap(heap, 1);
-                heap.unlink(sb);
-                heap.guarded_sub(&heap.a, Superblock::usable_bytes(sb));
-                heap.sub_u(class, Superblock::used_bytes(sb));
-                h.retire_to_cache(sb, 1);
-            }
-            // Freed while cached: the block parks on the deferred stack.
             hoard_sim::switch_context(1, 0);
-            h.deallocate(a);
-            assert_eq!((h.parked_big(), Superblock::remote_len(sb)), (1, 1));
-            // Heap 3 adopts the partial and takes a block of it as it
-            // came; picking it again drains the stack and hands `a` back.
-            hoard_sim::switch_context(2, 0);
-            let chunks = source.stats().chunk_allocs;
-            let mut filled = vec![h.allocate(size).unwrap()];
-            assert_eq!(Superblock::owner(sb), 3);
-            assert_eq!(h.parked_big(), 1, "adoption drains nothing");
-            assert_eq!(h.allocate(size), Some(a));
-            assert_eq!((h.parked_big(), Superblock::remote_len(sb)), (0, 0));
-            filled.extend((3..(*sb).capacity).map(|_| h.allocate(size).unwrap()));
-            assert!(filled
-                .iter()
-                .all(|p| read_header(p.as_ptr()).value == sb as usize));
-            assert_eq!(source.stats().chunk_allocs, chunks, "no fresh chunk");
-            let v = crate::debug::validate(&h);
-            assert!(v.is_consistent(), "{:?}", v.errors);
-            [a, b]
-                .into_iter()
-                .chain(filled)
-                .for_each(|p| h.deallocate(p));
+            theirs.into_iter().chain(mine).for_each(|p| h.deallocate(p));
         }
         h.flush_frontend();
+        let v = crate::debug::validate(&h);
+        assert!(v.is_consistent(), "{:?}", v.errors);
         assert_eq!(h.stats().live_current, 0);
     }
 
@@ -2945,46 +2280,45 @@ mod tests {
     /// the 280-B class.
     #[test]
     fn a_refill_or_flush_moves_live_by_the_batch() {
-        for cfg in frontends() {
-            for (size, refill) in [(64u64, 16u64), (280, 7)] {
-                let h = HoardAllocator::with_config(cfg).unwrap();
-                hoard_sim::switch_context(0, 0);
-                let flush = MAGAZINE_BATCH as u64;
-                unsafe {
-                    let cell = h.stats.snapshot();
-                    let mut held = vec![h.allocate(size as usize).unwrap()];
-                    let mut want = cell;
-                    want.live_current += refill * size;
-                    want.live_peak += refill * size;
-                    assert_eq!(h.stats.snapshot(), want, "refill of {size}-B blocks");
-                    let s = h.stats();
-                    assert_eq!(
-                        (s.magazines.refills, s.allocs, s.live_current),
-                        (1, 1, size)
-                    );
+        let cfg = HoardConfig::with_default_magazines();
+        for (size, refill) in [(64u64, 16u64), (280, 7)] {
+            let h = HoardAllocator::with_config(cfg).unwrap();
+            hoard_sim::switch_context(0, 0);
+            let flush = MAGAZINE_BATCH as u64;
+            unsafe {
+                let cell = h.stats.snapshot();
+                let mut held = vec![h.allocate(size as usize).unwrap()];
+                let mut want = cell;
+                want.live_current += refill * size;
+                want.live_peak += refill * size;
+                assert_eq!(h.stats.snapshot(), want, "refill of {size}-B blocks");
+                let s = h.stats();
+                assert_eq!(
+                    (s.magazines.refills, s.allocs, s.live_current),
+                    (1, 1, size)
+                );
 
-                    // `2 * flush + 1` held leave fewer than `flush`
-                    // cached: freeing them all overflows the magazine
-                    // exactly once.
-                    let n = 2 * flush + 1;
-                    let refills = n.div_ceil(refill);
-                    held.extend((1..n).map(|_| h.allocate(size as usize).unwrap()));
-                    let cell = h.stats.snapshot();
-                    assert_eq!(cell.live_current, refills * refill * size);
-                    for p in held {
-                        h.deallocate(p);
-                    }
-                    let mut want = cell;
-                    want.live_current -= flush * size;
-                    assert_eq!(h.stats.snapshot(), want, "flush of {size}-B blocks");
-                    let s = h.stats();
-                    assert_eq!((s.magazines.refills, s.magazines.flushes), (refills, 1));
-                    assert_eq!((s.allocs, s.frees, s.live_current), (n, n, 0));
-                    assert_eq!(
-                        h.frontend[0].cached_bytes(),
-                        cell.live_current - flush * size
-                    );
+                // `2 * flush + 1` held leave fewer than `flush`
+                // cached: freeing them all overflows the magazine
+                // exactly once.
+                let n = 2 * flush + 1;
+                let refills = n.div_ceil(refill);
+                held.extend((1..n).map(|_| h.allocate(size as usize).unwrap()));
+                let cell = h.stats.snapshot();
+                assert_eq!(cell.live_current, refills * refill * size);
+                for p in held {
+                    h.deallocate(p);
                 }
+                let mut want = cell;
+                want.live_current -= flush * size;
+                assert_eq!(h.stats.snapshot(), want, "flush of {size}-B blocks");
+                let s = h.stats();
+                assert_eq!((s.magazines.refills, s.magazines.flushes), (refills, 1));
+                assert_eq!((s.allocs, s.frees, s.live_current), (n, n, 0));
+                assert_eq!(
+                    h.frontend[0].cached_bytes(),
+                    cell.live_current - flush * size
+                );
             }
         }
     }
@@ -2995,23 +2329,22 @@ mod tests {
     /// magazine class and superblock size.
     #[test]
     fn a_refill_is_half_a_magazine_capped_at_a_quarter_superblock() {
-        for cfg in frontends() {
-            for s in [4096usize, 8192, 16384] {
-                let h = HoardAllocator::with_config(cfg.with_superblock_size(s)).unwrap();
-                hoard_sim::switch_context(0, 0);
-                let half = MAGAZINE_CAPACITY / 2;
-                for class in 0..MAG_CLASSES {
-                    let size = h.size_classes().class(class).block_size as usize;
-                    let before = h.frontend[0].cached_bytes();
-                    let p = unsafe { h.allocate(size).unwrap() };
-                    let cached = h.frontend[0].cached_bytes() - before;
-                    let got = cached as usize / size + 1;
-                    let case = format!("S {s}, {size}-B class: {got}");
-                    assert!((1..=half).contains(&got), "{case}");
-                    assert!(got == 1 || got * size <= s / 4, "{case}");
-                    assert!(got == half || (got + 1) * size > s / 4, "{case}");
-                    unsafe { h.deallocate(p) };
-                }
+        let cfg = HoardConfig::with_default_magazines();
+        for s in [4096usize, 8192, 16384] {
+            let h = HoardAllocator::with_config(cfg.with_superblock_size(s)).unwrap();
+            hoard_sim::switch_context(0, 0);
+            let half = MAGAZINE_CAPACITY / 2;
+            for class in 0..MAG_CLASSES {
+                let size = h.size_classes().class(class).block_size as usize;
+                let before = h.frontend[0].cached_bytes();
+                let p = unsafe { h.allocate(size).unwrap() };
+                let cached = h.frontend[0].cached_bytes() - before;
+                let got = cached as usize / size + 1;
+                let case = format!("S {s}, {size}-B class: {got}");
+                assert!((1..=half).contains(&got), "{case}");
+                assert!(got == 1 || got * size <= s / 4, "{case}");
+                assert!(got == half || (got + 1) * size > s / 4, "{case}");
+                unsafe { h.deallocate(p) };
             }
         }
     }
@@ -3025,7 +2358,7 @@ mod tests {
     fn the_allocator_fits_in_a_quarter_mebibyte() {
         let size = std::mem::size_of::<HoardAllocator>();
         assert!(
-            size <= 211_008,
+            size <= 207_488,
             "HoardAllocator is {size} B by value: re-measure the deepest test's stack \
              need as DESIGN.md §13 \"Size by value\" describes before growing it"
         );
@@ -3039,11 +2372,7 @@ mod tests {
     #[test]
     fn live_peak_bounds_max_u_from_above_by_the_cached_capacity() {
         const PROCS: usize = 3;
-        let configs = [
-            HoardConfig::new(),
-            HoardConfig::with_default_magazines(),
-            HoardConfig::with_lockfree(),
-        ];
+        let configs = [HoardConfig::new(), HoardConfig::with_default_magazines()];
         for cfg in configs {
             let h = HoardAllocator::with_config(cfg).unwrap();
             let capacity = if h.magazines_on() { MAGAZINE_CAPACITY as u64 } else { 0 };

@@ -41,7 +41,6 @@
 //! it is `const`-constructible and allocation-free on its own paths.
 
 mod config;
-mod global_cache;
 mod harden;
 mod heap;
 mod hoard;

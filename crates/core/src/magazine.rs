@@ -24,12 +24,9 @@
 //! `#[global_allocator]` use and lets tests flush every magazine
 //! deterministically.
 
-use crate::list;
-use crate::superblock::Superblock;
-use crate::HoardConfig;
 use hoard_mem::{AllocSnapshot, DeferredShard, StatsShard};
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of magazine slots per allocator. A power of two above the
 /// simulated processor counts (P ≤ 14 in the experiment grid), so live
@@ -109,198 +106,6 @@ impl Magazine {
     }
 }
 
-/// Sentinel for `Superblock::group` marking membership of a slot's
-/// empty list (mirrors `heap::EMPTY_LIST`; slots keep no fullness
-/// groups, so binned slot superblocks carry group `0`).
-const SLOT_EMPTY_LIST: u8 = u8::MAX;
-
-/// A magazine slot's private mini-heap, used only by the lock-free
-/// back-end: the superblocks this slot *owns* (their `owner` is
-/// `SLOT_OWNER_BASE + slot`) plus the slot's own emptiness-invariant
-/// coordinates. Every field is guarded by the slot's claim — plain
-/// integers, list heads touched single-threadedly — which is what lets
-/// refills, flushes, and same-slot frees run without any heap lock.
-///
-/// Unlike a [`Heap`](crate::heap::Heap) there are no fullness groups:
-/// the emptiness invariant bounds a slot's slack to `K·S`, so these
-/// lists stay a handful of superblocks long and a fullest-first linear
-/// scan costs less than group bookkeeping.
-pub(crate) struct SlotHeap {
-    /// Bytes in use across slot-owned superblocks (deferred remote
-    /// frees still count until drained, exactly as on the heaps).
-    pub u: u64,
-    /// Usable bytes held across slot-owned superblocks.
-    pub a: u64,
-    /// One intrusive superblock list per front-end size class.
-    bins: [AtomicPtr<Superblock>; MAG_CLASSES],
-    /// Completely empty slot-owned superblocks (any class).
-    empty: AtomicPtr<Superblock>,
-    pub empty_count: usize,
-}
-
-impl SlotHeap {
-    const fn new() -> Self {
-        SlotHeap {
-            u: 0,
-            a: 0,
-            bins: [const { AtomicPtr::new(std::ptr::null_mut()) }; MAG_CLASSES],
-            empty: AtomicPtr::new(std::ptr::null_mut()),
-            empty_count: 0,
-        }
-    }
-
-    /// Link an unlinked superblock into its class bin (even when empty
-    /// — the refill path links before allocating from it, exactly as
-    /// `Heap::link` does).
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `sb` live, unlinked, owned by this slot, and its
-    /// class within `MAG_CLASSES`.
-    pub unsafe fn link(&mut self, sb: *mut Superblock) {
-        (*sb).group = 0;
-        list::push_front(&self.bins[(*sb).class as usize], sb);
-    }
-
-    /// Unlink `sb` from whichever list it is on.
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `sb` linked in this slot heap.
-    pub unsafe fn unlink(&mut self, sb: *mut Superblock) {
-        if (*sb).group == SLOT_EMPTY_LIST {
-            list::remove(&self.empty, sb);
-            self.empty_count -= 1;
-        } else {
-            list::remove(&self.bins[(*sb).class as usize], sb);
-        }
-    }
-
-    /// Re-home `sb` after its occupancy changed: a drained superblock
-    /// moves to the empty list; others stay put (one bin per class).
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `sb` linked in one of this slot's class bins.
-    pub unsafe fn relink(&mut self, sb: *mut Superblock) {
-        debug_assert_ne!((*sb).group, SLOT_EMPTY_LIST);
-        if (*sb).in_use == 0 {
-            list::remove(&self.bins[(*sb).class as usize], sb);
-            self.push_empty(sb);
-        }
-    }
-
-    /// Push a drained superblock onto the empty list.
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `sb` live, unlinked, `in_use == 0`.
-    pub unsafe fn push_empty(&mut self, sb: *mut Superblock) {
-        debug_assert_eq!((*sb).in_use, 0);
-        (*sb).group = SLOT_EMPTY_LIST;
-        list::push_front(&self.empty, sb);
-        self.empty_count += 1;
-    }
-
-    /// Pop a superblock from the empty list (caller reformats if the
-    /// class differs), or null.
-    ///
-    /// # Safety
-    ///
-    /// Claim held.
-    pub unsafe fn pop_empty(&mut self) -> *mut Superblock {
-        let sb = list::pop_front(&self.empty);
-        if !sb.is_null() {
-            self.empty_count -= 1;
-            (*sb).group = 0;
-        }
-        sb
-    }
-
-    /// Fullest superblock of `class` with a free block (the paper's
-    /// allocation policy, by linear scan), still linked; null when none.
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `class < MAG_CLASSES`.
-    pub unsafe fn find_with_free(&self, class: usize) -> *mut Superblock {
-        let mut best: *mut Superblock = std::ptr::null_mut();
-        let mut cur = self.bins[class].load(Ordering::Relaxed);
-        while !cur.is_null() {
-            if Superblock::has_free(cur) && (best.is_null() || (*cur).in_use > (*best).in_use) {
-                best = cur;
-            }
-            cur = (*cur).next;
-        }
-        best
-    }
-
-    /// Head of the class bin (for drain scans).
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `class < MAG_CLASSES`.
-    pub unsafe fn class_head(&self, class: usize) -> *mut Superblock {
-        self.bins[class].load(Ordering::Relaxed)
-    }
-
-    /// Remove and return the emptiest superblock that is at least
-    /// `f`-empty, plus its used bytes — empties first, then the
-    /// emptiest qualifying partial across all bins. Null when none
-    /// qualifies.
-    ///
-    /// # Safety
-    ///
-    /// Claim held.
-    pub unsafe fn take_emptiest(&mut self, cfg: &HoardConfig) -> (*mut Superblock, u64) {
-        let sb = self.pop_empty();
-        if !sb.is_null() {
-            return (sb, 0);
-        }
-        let mut best: *mut Superblock = std::ptr::null_mut();
-        for bin in &self.bins {
-            let mut cur = bin.load(Ordering::Relaxed);
-            while !cur.is_null() {
-                if cfg.f_empty_blocks((*cur).in_use, (*cur).capacity)
-                    && (best.is_null()
-                        || ((*cur).in_use as u64 * (*best).capacity as u64)
-                            < ((*best).in_use as u64 * (*cur).capacity as u64))
-                {
-                    best = cur;
-                }
-                cur = (*cur).next;
-            }
-        }
-        if best.is_null() {
-            return (std::ptr::null_mut(), 0);
-        }
-        list::remove(&self.bins[(*best).class as usize], best);
-        (best, Superblock::used_bytes(best))
-    }
-
-    /// Visit every slot-owned superblock (bins first, then empties).
-    ///
-    /// # Safety
-    ///
-    /// Claim held; `f` must not unlink elements.
-    pub unsafe fn for_each(&self, mut f: impl FnMut(*mut Superblock)) {
-        for bin in &self.bins {
-            let mut cur = bin.load(Ordering::Relaxed);
-            while !cur.is_null() {
-                let next = (*cur).next;
-                f(cur);
-                cur = next;
-            }
-        }
-        let mut cur = self.empty.load(Ordering::Relaxed);
-        while !cur.is_null() {
-            let next = (*cur).next;
-            f(cur);
-            cur = next;
-        }
-    }
-}
-
 /// One virtual processor's set of magazines, guarded by a per-operation
 /// claim flag instead of a lock: the owner is the only live claimant in
 /// the common case, so the claim is one uncontended atomic swap, and a
@@ -317,10 +122,6 @@ pub(crate) struct MagazineSlot {
     /// written only through [`SlotClaim::deferred`].
     deferred: DeferredShard,
     mags: UnsafeCell<[Magazine; MAG_CLASSES]>,
-    /// Lock-free back-end state (inert unless `Frontend::LockFree`).
-    /// A separate cell so `&mut SlotHeap` and `&mut Magazine` borrows
-    /// never derive from the same place.
-    backend: UnsafeCell<SlotHeap>,
     /// Event counters for operations that run under the claim; written
     /// only through [`SlotClaim::stats`].
     stats: StatsShard,
@@ -337,7 +138,6 @@ impl MagazineSlot {
             claimed: AtomicBool::new(false),
             deferred: DeferredShard::new(),
             mags: UnsafeCell::new([const { Magazine::new() }; MAG_CLASSES]),
-            backend: UnsafeCell::new(SlotHeap::new()),
             stats: StatsShard::new(),
         }
     }
@@ -396,14 +196,6 @@ impl SlotClaim<'_> {
     pub fn magazine(&self, class: usize) -> &mut Magazine {
         debug_assert!(class < MAG_CLASSES);
         unsafe { &mut (*self.slot.mags.get())[class] }
-    }
-
-    /// The slot's lock-free back-end heap. Exclusive by virtue of the
-    /// claim; a distinct cell from the magazines, so this may be held
-    /// alongside a `magazine()` borrow.
-    #[allow(clippy::mut_from_ref)] // exclusivity is the claim's contract
-    pub fn heap(&self) -> &mut SlotHeap {
-        unsafe { &mut *self.slot.backend.get() }
     }
 
     /// The slot's statistics shard, for the claimant to write. Nothing
@@ -491,128 +283,5 @@ mod tests {
         assert_eq!(c.magazine(3).pop(), Some(0x30 as *mut u8));
         assert_eq!(c.magazine(7).pop(), Some(0x70 as *mut u8));
         assert!(c.magazine(0).is_empty());
-    }
-
-    const S: usize = 8192;
-
-    struct Chunk(*mut u8, std::alloc::Layout);
-
-    impl Chunk {
-        fn new() -> Self {
-            let layout = std::alloc::Layout::from_size_align(S, S).unwrap();
-            let p = unsafe { std::alloc::alloc(layout) };
-            assert!(!p.is_null());
-            Chunk(p, layout)
-        }
-        fn sb(&self, class: u32, block_size: u32) -> *mut Superblock {
-            unsafe { Superblock::init(self.0, S, class, block_size, 0, 0) }
-        }
-    }
-
-    impl Drop for Chunk {
-        fn drop(&mut self) {
-            unsafe { std::alloc::dealloc(self.0, self.1) };
-        }
-    }
-
-    #[test]
-    fn slot_heap_places_empties_and_partials_separately() {
-        let (c1, c2) = (Chunk::new(), Chunk::new());
-        let mut sh = SlotHeap::new();
-        unsafe {
-            let empty = c1.sb(2, 64);
-            let partial = c2.sb(2, 64);
-            let _ = Superblock::alloc_block(partial);
-            sh.push_empty(empty);
-            sh.link(partial);
-            assert_eq!(sh.empty_count, 1);
-            assert_eq!(sh.find_with_free(2), partial, "partial is binned by class");
-            assert!(sh.find_with_free(3).is_null());
-            let popped = sh.pop_empty();
-            assert_eq!(popped, empty);
-            assert_eq!(sh.empty_count, 0);
-        }
-    }
-
-    #[test]
-    fn slot_heap_find_prefers_fullest() {
-        let (c1, c2) = (Chunk::new(), Chunk::new());
-        let mut sh = SlotHeap::new();
-        unsafe {
-            let half = c1.sb(0, 64);
-            for _ in 0..((*half).capacity / 2) {
-                let _ = Superblock::alloc_block(half);
-            }
-            let light = c2.sb(0, 64);
-            let _ = Superblock::alloc_block(light);
-            sh.link(light);
-            sh.link(half);
-            assert_eq!(sh.find_with_free(0), half, "fullest superblock wins");
-        }
-    }
-
-    #[test]
-    fn slot_heap_relink_moves_drained_to_empty_list() {
-        let c = Chunk::new();
-        let mut sh = SlotHeap::new();
-        unsafe {
-            let sb = c.sb(1, 32);
-            let p = Superblock::alloc_block(sb);
-            sh.link(sb);
-            Superblock::free_block(sb, p);
-            sh.relink(sb);
-            assert_eq!(sh.empty_count, 1);
-            assert!(sh.find_with_free(1).is_null(), "bin no longer holds it");
-            assert_eq!(sh.pop_empty(), sb);
-        }
-    }
-
-    #[test]
-    fn slot_heap_take_emptiest_prefers_empties_then_f_empty() {
-        let cfg = HoardConfig::default();
-        let (c1, c2, c3) = (Chunk::new(), Chunk::new(), Chunk::new());
-        let mut sh = SlotHeap::new();
-        unsafe {
-            let empty = c1.sb(0, 64);
-            let sparse = c2.sb(0, 64);
-            let _ = Superblock::alloc_block(sparse);
-            let dense = c3.sb(0, 64);
-            for _ in 0..(*dense).capacity {
-                let _ = Superblock::alloc_block(dense);
-            }
-            sh.push_empty(empty);
-            sh.link(sparse);
-            sh.link(dense);
-            let (v1, used1) = sh.take_emptiest(&cfg);
-            assert_eq!(v1, empty);
-            assert_eq!(used1, 0);
-            let (v2, used2) = sh.take_emptiest(&cfg);
-            assert_eq!(v2, sparse, "sparse is f-empty, dense is not");
-            assert_eq!(used2, 64);
-            let (v3, _) = sh.take_emptiest(&cfg);
-            assert!(v3.is_null(), "dense superblock is not f-empty");
-            assert_eq!(sh.class_head(0), dense, "dense stays linked");
-        }
-    }
-
-    #[test]
-    fn slot_heap_for_each_visits_everything_once() {
-        let (c1, c2, c3) = (Chunk::new(), Chunk::new(), Chunk::new());
-        let mut sh = SlotHeap::new();
-        unsafe {
-            let a = c1.sb(0, 64);
-            let b = c2.sb(5, 128);
-            let _ = Superblock::alloc_block(b);
-            let d = c3.sb(0, 64);
-            let _ = Superblock::alloc_block(d);
-            sh.push_empty(a);
-            sh.link(b);
-            sh.link(d);
-            let mut seen = std::collections::HashSet::new();
-            sh.for_each(|sb| {
-                assert!(seen.insert(sb as usize));
-            });
-            assert_eq!(seen.len(), 3);
-        }
     }
 }

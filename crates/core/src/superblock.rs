@@ -395,8 +395,7 @@ impl Superblock {
     /// taking any lock: write the old head's index into the payload's
     /// first word, then CAS the whole packed word (head, count+1,
     /// tag+1). The block stays accounted as allocated until the owner
-    /// drains it. Returns the stack length *after* this push — the
-    /// lock-free back-end's drain-pressure signal.
+    /// drains it. Returns the stack length *after* this push.
     ///
     /// # Safety
     ///
@@ -428,9 +427,8 @@ impl Superblock {
     ///
     /// # Safety
     ///
-    /// Caller must own the superblock (heap lock in the locked
-    /// back-end; slot claim or exclusivity-after-pop in the lock-free
-    /// one) so drained blocks can be pushed onto the free list.
+    /// Caller must hold the owning heap's lock, so drained blocks can be
+    /// pushed onto the free list.
     pub unsafe fn take_remote(sb: *mut Superblock) -> (*mut u8, u32) {
         // Acquire pairs with the Release push: the chain's link words and
         // the pushers' payload writes are visible. An unconditional swap

@@ -101,21 +101,26 @@ fn misaligned_and_foreign_pointers_are_refused() {
 
 #[test]
 fn interior_pointer_is_out_of_range() {
-    let h = hardened(HardeningLevel::Basic);
-    unsafe {
-        let p = h.allocate(64).unwrap();
-        let sb = read_header(p.as_ptr()).value;
-        // Forge a plausible header in the block's own payload pointing
-        // at the real superblock, then free the interior address: the
-        // range check must catch that it is not on a block boundary.
-        let interior = p.as_ptr().add(16);
-        write_header(interior, HeaderWord::new(Tag::Superblock, sb));
-        h.deallocate(NonNull::new_unchecked(interior));
-        assert_eq!(last_kind(&h), Some(CorruptionKind::OutOfRangePointer));
-        h.deallocate(p);
+    for cfg in [HoardConfig::new(), HoardConfig::with_default_magazines()] {
+        let h = HoardAllocator::with_config(cfg.with_hardening(HardeningLevel::Basic)).unwrap();
+        unsafe {
+            let p = h.allocate(64).unwrap();
+            let sb = read_header(p.as_ptr()).value;
+            // Forge a plausible header in the block's own payload
+            // pointing at the real superblock, then free the interior
+            // address: the range check must catch that it is not on a
+            // block boundary.
+            let interior = p.as_ptr().add(16);
+            write_header(interior, HeaderWord::new(Tag::Superblock, sb));
+            h.deallocate(NonNull::new_unchecked(interior));
+            assert_eq!(last_kind(&h), Some(CorruptionKind::OutOfRangePointer));
+            h.deallocate(p);
+            assert_eq!(h.corruption_log().total(), 1, "{cfg:?}");
+        }
+        h.flush_frontend();
+        assert_eq!(h.stats().live_current, 0);
+        debug::check_invariants(&h).expect("consistent after interior free");
     }
-    assert_eq!(h.stats().live_current, 0);
-    debug::check_invariants(&h).expect("consistent after interior free");
 }
 
 #[test]

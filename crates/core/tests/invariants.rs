@@ -54,9 +54,9 @@ fn gen_ops(rng: &mut Rng, min: usize, max: usize) -> Vec<Op> {
 fn gen_config(rng: &mut Rng) -> HoardConfig {
     let (num, den) = [(1, 8), (1, 4), (1, 2)][rng.range(0, 2)];
     HoardConfig {
-        // Every front-end: the emptiness invariant must stay provable
-        // with blocks parked in magazines and in slot-owned superblocks.
-        frontend: [Frontend::Off, Frontend::Magazines, Frontend::LockFree][rng.range(0, 2)],
+        // Both front-ends: the emptiness invariant must stay provable
+        // with blocks parked in magazines.
+        frontend: [Frontend::Off, Frontend::Magazines][rng.range(0, 1)],
         ..HoardConfig::new()
             .with_superblock_size([4096, 8192, 16384][rng.range(0, 2)])
             .with_empty_fraction(num, den)
@@ -186,18 +186,14 @@ fn trace_preserves_invariants_with_magazines() {
     });
 }
 
-/// The nine configurations there are — three stacks by three hardening
+/// The six configurations there are — two stacks by three hardening
 /// levels — each take the same small/large churn from three virtual
 /// processors, any of which may free any live block, validated as it
 /// goes and once everything is back.
 #[test]
-fn all_nine_configurations_survive_cross_processor_churn() {
+fn all_six_configurations_survive_cross_processor_churn() {
     const PROCS: usize = 3;
-    let stacks = [
-        HoardConfig::new(),
-        HoardConfig::with_default_magazines(),
-        HoardConfig::with_lockfree(),
-    ];
+    let stacks = [HoardConfig::new(), HoardConfig::with_default_magazines()];
     let levels = [HardeningLevel::Off, HardeningLevel::Basic, HardeningLevel::Full];
     Rng::for_each_case(4, |rng| {
         let ops: Vec<(usize, Op)> = (0..rng.range(300, 600))
@@ -208,8 +204,7 @@ fn all_nine_configurations_survive_cross_processor_churn() {
             let mut live = Vec::new();
             for (step, (proc, op)) in ops.iter().enumerate() {
                 // Mid-run, with blocks in magazines and on deferred
-                // stacks (big classes' too, under the lock-free back-end):
-                // the books must agree with the walk here as well.
+                // stacks: the books must agree with the walk here as well.
                 if step % 64 == 0 {
                     let v = debug::validate(&h);
                     assert!(v.is_consistent(), "{cfg:?}, step {step}: {:?}", v.errors);
@@ -230,9 +225,8 @@ fn all_nine_configurations_survive_cross_processor_churn() {
             }
             // A burst of one class too big for the front-end, three
             // quarters freed by its own processor: its heap hands partly
-            // used superblocks to the global domain, where the frees of
-            // the rest below arrive (under the lock-free back-end, they
-            // park on cached superblocks' deferred stacks).
+            // used superblocks to the global heap, where the frees of
+            // the rest below arrive.
             hoard_sim::switch_context(0, 0);
             let burst: Vec<_> = (0..48)
                 .map(|_| unsafe { h.allocate(2000) }.expect("host memory available"))
@@ -288,13 +282,9 @@ unsafe impl ChunkSource for Recording {
 /// alignment, whatever the front-end. A block finds its superblock
 /// through its header, so no configuration needs `S`-aligned chunks.
 #[test]
-fn all_nine_configurations_request_superblocks_alike() {
+fn all_six_configurations_request_superblocks_alike() {
     const PROCS: usize = 3;
-    let stacks = [
-        HoardConfig::new(),
-        HoardConfig::with_default_magazines(),
-        HoardConfig::with_lockfree(),
-    ];
+    let stacks = [HoardConfig::new(), HoardConfig::with_default_magazines()];
     let levels = [
         HardeningLevel::Off,
         HardeningLevel::Basic,
@@ -394,15 +384,11 @@ fn ledger_program(rng: &mut Rng) -> Program {
 }
 
 /// The replay engine's ledger books every advance of every clock: a
-/// [`ledger_program`] runs in each of the nine configurations, and
+/// [`ledger_program`] runs in each of the six configurations, and
 /// every processor's columns sum exactly to its final clock.
 #[test]
-fn all_nine_configurations_book_every_clock_in_the_ledger() {
-    let stacks = [
-        HoardConfig::new(),
-        HoardConfig::with_default_magazines(),
-        HoardConfig::with_lockfree(),
-    ];
+fn all_six_configurations_book_every_clock_in_the_ledger() {
+    let stacks = [HoardConfig::new(), HoardConfig::with_default_magazines()];
     let levels = [HardeningLevel::Off, HardeningLevel::Basic, HardeningLevel::Full];
     Rng::for_each_case(4, |rng| {
         let program = ledger_program(rng);
@@ -434,9 +420,9 @@ fn all_nine_configurations_book_every_clock_in_the_ledger() {
 }
 
 /// A foreign free that the magazine front-end defers is one CAS on the
-/// superblock's remote word, priced like every other CAS. Without the
-/// lock-free back-end that push is the only `AtomicRmw` there is, so
-/// the column is exactly the pushes times the price.
+/// superblock's remote word, priced like every other CAS. That push is
+/// the only `AtomicRmw` there is, so the column is exactly the pushes
+/// times the price.
 #[test]
 fn a_deferred_remote_free_costs_one_atomic_rmw() {
     let levels = [

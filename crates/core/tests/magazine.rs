@@ -1,10 +1,11 @@
 //! Integration tests for the thread-local magazine front-end: the
 //! `Frontend::Off` ablation (exact seed behaviour), quiescence
 //! via `flush_frontend`, emptiness accounting of parked blocks, the
-//! deferred remote-free protocol under real threads, and the
-//! owner-migration retry race in `free_small`.
+//! deferred remote-free protocol on the packed remote word under real
+//! threads, the owner-migration retry race in `free_small`, and the
+//! global heap's lock holds.
 
-use hoard_core::{debug, Frontend, HoardAllocator, HoardConfig};
+use hoard_core::{debug, Frontend, HoardAllocator, HoardConfig, Probe};
 use hoard_mem::MtAllocator;
 use std::ptr::NonNull;
 use std::sync::Arc;
@@ -325,4 +326,285 @@ fn flush_frontend_is_a_noop_when_disabled() {
     h.flush_frontend();
     assert_eq!(h.stats().live_current, 0);
     assert!(debug::validate(&h).is_consistent());
+}
+
+/// Producer–consumer across the packed remote word: every consumer
+/// free is foreign, so it rides the superblock's 64-bit CAS stack until
+/// the stack reaches `remote_limit`, and the producer's refills drain
+/// what it holds in one exchange. The paper's blowup pattern stays
+/// bounded.
+#[test]
+fn packed_remote_word_carries_producer_consumer_traffic() {
+    let h = Arc::new(mag_on());
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Payload>(128);
+    let producer = {
+        let h = Arc::clone(&h);
+        std::thread::spawn(move || {
+            for i in 0..20_000usize {
+                let p = unsafe { h.allocate(8 + (i % 200)) }.unwrap();
+                tx.send(Payload(p.as_ptr() as usize)).unwrap();
+            }
+        })
+    };
+    let consumer = {
+        let h = Arc::clone(&h);
+        std::thread::spawn(move || {
+            let mut n = 0usize;
+            while let Ok(pl) = rx.recv() {
+                unsafe { h.deallocate(NonNull::new_unchecked(pl.0 as *mut u8)) };
+                n += 1;
+            }
+            n
+        })
+    };
+    producer.join().unwrap();
+    assert_eq!(consumer.join().unwrap(), 20_000);
+
+    let snap = h.stats();
+    assert_eq!(snap.live_current, 0);
+    assert!(snap.remote_frees > 0, "consumer frees are remote");
+    assert!(
+        snap.magazines.remote_pushes > 0,
+        "remote frees must ride the packed CAS word"
+    );
+    assert!(
+        snap.magazines.remote_drains > 0,
+        "owners must drain the packed word"
+    );
+    assert!(
+        snap.held_peak <= 64 * h.config().superblock_size as u64,
+        "producer-consumer blowup: held_peak = {}",
+        snap.held_peak
+    );
+    h.flush_frontend();
+    let v = debug::validate(&h);
+    assert!(v.is_consistent(), "{:?}", v.errors);
+}
+
+/// A remote word reaching `remote_limit` while its owner sits idle: the
+/// freeing thread's next free of that superblock takes the locked path,
+/// locks the owner's heap and drains the stack there — no owner
+/// intervention needed.
+#[test]
+fn overflowing_remote_word_is_stolen_and_drained() {
+    let h = Arc::new(mag_on());
+    // Owner thread allocates a superblock's worth of one class and
+    // parks the blocks; its heap then sits idle.
+    let blocks: Vec<usize> = {
+        let h = Arc::clone(&h);
+        std::thread::spawn(move || {
+            (0..512)
+                .map(|_| unsafe { h.allocate(64) }.unwrap().as_ptr() as usize)
+                .collect()
+        })
+        .join()
+        .unwrap()
+    };
+    let drains_before = h.stats().magazines.remote_drains;
+    // This thread frees them all: every free is foreign, and the
+    // packed word repeatedly reaches `remote_limit`, forcing the drain
+    // under the idle owner's lock.
+    for addr in blocks {
+        unsafe { h.deallocate(NonNull::new_unchecked(addr as *mut u8)) };
+    }
+    assert!(
+        h.stats().magazines.remote_drains > drains_before,
+        "reaching the remote limit must force a drain"
+    );
+    h.flush_frontend();
+    assert_eq!(h.stats().live_current, 0);
+    let v = debug::validate(&h);
+    assert!(v.is_consistent(), "{:?}", v.errors);
+}
+
+/// Schedule exploration: several seeds' worth of threads interleaving
+/// remote pushes, drains, flushes, migrations to the global heap
+/// (owner → 0) and fetches back out of it (0 → owner) — the full
+/// owner-migration surface — with validation at each quiescent point.
+#[test]
+fn migration_races_end_consistent_across_schedules() {
+    for seed in [0x1u64, 0x5EED, 0xDEAD_BEEF] {
+        let h = Arc::new(mag_on());
+        std::thread::scope(|s| {
+            for t in 0..6 {
+                let h = Arc::clone(&h);
+                s.spawn(move || {
+                    let mut rng = seed ^ ((t as u64 + 1) * 0x9E37_79B9);
+                    let mut next = move || {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        rng
+                    };
+                    // One size in eight is of a class too big for the
+                    // front-end, freed on the locked path.
+                    let size = |r: u64| {
+                        if r.is_multiple_of(8) {
+                            600 + (r >> 8) as usize % 3000
+                        } else {
+                            8 + (r >> 8) as usize % 500
+                        }
+                    };
+                    let mut live: Vec<usize> = Vec::new();
+                    for _ in 0..4_000usize {
+                        match next() % 4 {
+                            // Burst-allocate: refills, fetches, fresh chunks.
+                            0 => {
+                                for _ in 0..(next() % 48) {
+                                    let p = unsafe { h.allocate(size(next())) }.unwrap();
+                                    live.push(p.as_ptr() as usize);
+                                }
+                            }
+                            // Burst-free: flushes, drains, migrations.
+                            1 => {
+                                let n = (next() as usize % 64).min(live.len());
+                                for _ in 0..n {
+                                    let idx = next() as usize % live.len();
+                                    let a = live.swap_remove(idx);
+                                    unsafe { h.deallocate(NonNull::new_unchecked(a as *mut u8)) };
+                                }
+                            }
+                            // Steady churn.
+                            _ => {
+                                let p = unsafe { h.allocate(size(next())) }.unwrap();
+                                if next() % 2 == 0 {
+                                    unsafe { h.deallocate(p) };
+                                } else {
+                                    live.push(p.as_ptr() as usize);
+                                }
+                            }
+                        }
+                        if live.len() > 512 {
+                            // Cap the working set so migrations happen.
+                            while live.len() > 256 {
+                                let a = live.pop().unwrap();
+                                unsafe { h.deallocate(NonNull::new_unchecked(a as *mut u8)) };
+                            }
+                        }
+                    }
+                    for a in live {
+                        unsafe { h.deallocate(NonNull::new_unchecked(a as *mut u8)) };
+                    }
+                });
+            }
+        });
+        assert_eq!(h.stats().live_current, 0, "seed {seed:#x}");
+        let (to_global, from_global) = h.transfer_counts();
+        assert!(to_global > 0, "seed {seed:#x}: no migrations raced");
+        assert!(from_global > 0, "seed {seed:#x}: no fetches raced");
+        // Quiescent but unflushed: blocks still sit in magazines and on
+        // deferred stacks, and the books must agree with the walk.
+        let v = debug::validate(&h);
+        assert!(v.is_consistent(), "seed {seed:#x}: {:?}", v.errors);
+        h.flush_frontend();
+        let v = debug::validate(&h);
+        assert!(v.is_consistent(), "seed {seed:#x}: {:?}", v.errors);
+        assert_eq!(v.total_u(), 0, "seed {seed:#x}");
+    }
+}
+
+/// The paper's emptiness-invariant postcondition — a size class of a
+/// heap violating `u_c ≥ a_c − K·S ∨ u_c ≥ (1−f)·a_c` holds no f-empty
+/// superblock of that class, and a heap violating the heap-wide form
+/// holds no empty one — must hold at quiescence with the front-end on
+/// and off, on the same workload.
+#[test]
+fn emptiness_postcondition_holds_with_and_without_magazines() {
+    for cfg in [HoardConfig::new(), HoardConfig::with_default_magazines()] {
+        let h = HoardAllocator::with_config(cfg).unwrap();
+        unsafe {
+            let mut live = Vec::new();
+            for i in 0..3_000usize {
+                live.push(h.allocate(8 + (i * 29) % 400).unwrap());
+                if i % 2 == 0 {
+                    let victim = live.swap_remove((i * 13) % live.len());
+                    h.deallocate(victim);
+                }
+            }
+            for p in live {
+                h.deallocate(p);
+            }
+        }
+        h.flush_frontend();
+        let v = debug::validate(&h);
+        assert!(v.is_consistent(), "{cfg:?}: {:?}", v.errors);
+        for obs in &v.heaps {
+            // Index 0 is the global heap: exempt, like the paper's.
+            if obs.index == 0 {
+                continue;
+            }
+            assert!(
+                obs.emptiness_postcondition_holds(),
+                "{cfg:?}: heap {} violates the invariant while holding an \
+                 f-empty superblock (u={} a={} empties={} classes={:?})",
+                obs.index,
+                obs.u,
+                obs.a,
+                obs.empties,
+                obs.classes
+            );
+        }
+        // Blowup stays bounded: everything is freed, so held memory is
+        // pure slack — superblocks parked across the heaps, each bounded
+        // by the invariant.
+        assert_eq!(h.stats().live_current, 0);
+        let superblocks: usize = v.heaps.iter().map(|o| o.superblocks).sum();
+        assert_eq!(
+            h.stats().held_current,
+            (superblocks * h.config().superblock_size) as u64,
+            "{cfg:?}: held memory beyond scanned superblocks"
+        );
+    }
+}
+
+/// The global heap's lock covers only list surgery, accounting and the
+/// ownership handoff — the superblock reformat and the transfer charge
+/// run after it drops. Asserted through the metrics registry's lock
+/// telemetry: during a fetch-heavy phase, the *mean* virtual hold of
+/// heap 0's lock must be below one `Cost::SuperblockTransfer`, which
+/// a fetch that reformatted under the lock would pay inside it.
+#[test]
+fn global_fetch_holds_exclude_reformat_and_transfer_costs() {
+    let h = mag_on();
+    h.attach(Arc::new(Probe {
+        metrics: Some(Arc::new(h.new_metrics_registry())),
+        ..Probe::default()
+    }));
+    unsafe {
+        // Phase 1: park superblocks on the global heap (allocate a
+        // burst of one class, free it all, flush).
+        let burst: Vec<_> = (0..2_000).map(|_| h.allocate(128).unwrap()).collect();
+        for p in burst {
+            h.deallocate(p);
+        }
+        h.flush_frontend();
+        let before = h.metrics_snapshot().unwrap();
+        assert!(
+            h.transfer_counts().0 > 0,
+            "phase 1 must push superblocks to the global heap"
+        );
+        // Phase 2: allocate a *different* class — every refill that
+        // reaches the global heap pops an empty superblock and
+        // reformats it (the expensive step the lock does not cover).
+        let burst: Vec<_> = (0..2_000).map(|_| h.allocate(256).unwrap()).collect();
+        let after = h.metrics_snapshot().unwrap();
+        let d = after.delta(&before);
+        let g0 = d
+            .heaps
+            .iter()
+            .find(|m| m.heap == 0)
+            .expect("phase 2 fetched from the global heap");
+        assert!(g0.lock_acquires > 0);
+        let mean_hold = g0.lock_hold_units as f64 / g0.lock_acquires as f64;
+        let transfer =
+            hoard_sim::CostModel::current().get(hoard_sim::Cost::SuperblockTransfer) as f64;
+        assert!(
+            mean_hold < transfer,
+            "global-heap lock held for {mean_hold} units on average; \
+             the reformat/transfer work (>= {transfer}) is back under the lock"
+        );
+        for p in burst {
+            h.deallocate(p);
+        }
+    }
 }

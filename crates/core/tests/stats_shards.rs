@@ -233,8 +233,3 @@ fn locked_heaps_lose_no_counts() {
 fn magazine_slots_lose_no_counts() {
     collide(HoardConfig::with_default_magazines());
 }
-
-#[test]
-fn lockfree_slot_heaps_lose_no_counts() {
-    collide(HoardConfig::with_lockfree());
-}

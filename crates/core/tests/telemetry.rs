@@ -121,7 +121,6 @@ fn every_probe_keeps_layout_and_locks_and_charges_exactly_its_records() {
     let configs = [
         ("hoard", HoardConfig::new()),
         ("hoard_mag", HoardConfig::with_default_magazines()),
-        ("hoard_lf", HoardConfig::with_lockfree()),
     ];
     for (config, cfg) in configs {
         let plain = observed_churn(&HoardAllocator::with_config(cfg).unwrap());
@@ -302,36 +301,31 @@ fn profiler_books_cross_check_alloc_stats_and_heap_map() {
 /// contents included; the timeline's `U` must stay the application's.
 #[test]
 fn timeline_samples_the_applications_bytes_not_the_magazines() {
-    for cfg in [
-        HoardConfig::with_default_magazines(),
-        HoardConfig::with_lockfree(),
-    ] {
-        let h = HoardAllocator::with_config(cfg).unwrap();
-        // An interval of one unit: every operation claims a tick.
-        let prof = Arc::new(HeapProfiler::with_config(ProfileConfig {
-            timeline_interval: 1,
-        }));
-        h.attach(Arc::new(Probe {
-            profiler: Some(Arc::clone(&prof)),
-            ..Probe::default()
-        }));
-        unsafe {
-            // The first allocation refills: a batch leaves the heaps,
-            // one block of it is the program's.
-            let p = h.allocate(64).unwrap();
-            let q = h.allocate(64).unwrap();
-            // A free is sampled before it takes effect.
-            h.deallocate(p);
-            h.deallocate(q);
-        }
-        let u: Vec<u64> = prof
-            .snapshot(hoard_sim::now())
-            .timeline
-            .iter()
-            .map(|point| point.live_bytes)
-            .collect();
-        assert_eq!(u, [64, 128, 128, 64]);
+    let h = HoardAllocator::with_config(HoardConfig::with_default_magazines()).unwrap();
+    // An interval of one unit: every operation claims a tick.
+    let prof = Arc::new(HeapProfiler::with_config(ProfileConfig {
+        timeline_interval: 1,
+    }));
+    h.attach(Arc::new(Probe {
+        profiler: Some(Arc::clone(&prof)),
+        ..Probe::default()
+    }));
+    unsafe {
+        // The first allocation refills: a batch leaves the heaps, one
+        // block of it is the program's.
+        let p = h.allocate(64).unwrap();
+        let q = h.allocate(64).unwrap();
+        // A free is sampled before it takes effect.
+        h.deallocate(p);
+        h.deallocate(q);
     }
+    let u: Vec<u64> = prof
+        .snapshot(hoard_sim::now())
+        .timeline
+        .iter()
+        .map(|point| point.live_bytes)
+        .collect();
+    assert_eq!(u, [64, 128, 128, 64]);
 }
 
 #[test]

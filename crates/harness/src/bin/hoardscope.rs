@@ -1,30 +1,25 @@
 //! `hoardscope` — analyze allocator telemetry traces.
 //!
 //! ```text
-//! hoardscope --demo [--threads N] [--quick] [--lockfree]
+//! hoardscope --demo [--threads N] [--quick]
 //! hoardscope --demo --trace out.json          # also save the native trace
 //! hoardscope --demo --chrome out.trace.json   # also save Chrome/Perfetto JSON
-//! hoardscope --gate BUDGET [--threads N] [--quick]
 //! hoardscope FILE                             # report on a saved native trace
 //!
-//! hoardscope trc record WORKLOAD OUT.trc [--threads N] [--quick] [--lockfree]
-//! hoardscope trc replay FILE.trc [--lockfree] [--twice] [--ledger]
+//! hoardscope trc record WORKLOAD OUT.trc [--threads N] [--quick]
+//! hoardscope trc replay FILE.trc [--twice] [--ledger]
 //! hoardscope trc gen OUT.trc [--sessions N] [--workers N] [--seed S]
-//! hoardscope trc report FILE.trc [--lockfree] [--json OUT]
+//! hoardscope trc report FILE.trc [--json OUT]
 //!
 //! hoardscope profile [TARGET] [--top K] [--timeline] [--gate]
 //!            [--budget FILE] [--inject-leak] [--overhead]
-//!            [--threads N] [--quick] [--lockfree]
+//!            [--threads N] [--quick]
 //!            [--json OUT] [--collapsed OUT]
 //! ```
 //!
-//! `--demo` runs traced larson and prints the full report; `--lockfree`
-//! switches the allocator to the lock-free back-end.
-//!
-//! `--gate` is the CI contention gate: it runs larson on both back-ends,
-//! prints each lock ranking, and exits nonzero if the lock-free run's
-//! heap-lock acquisitions exceed `BUDGET` (the checked-in budget lives
-//! in `ci/contention_budget.txt`).
+//! Every subcommand runs the allocator with the magazine front-end
+//! (`HoardConfig::with_default_magazines`). `--demo` runs traced larson
+//! and prints the full report.
 //!
 //! The `trc` subcommands drive the binary `.trc` allocation-trace
 //! pipeline: `record` captures a named workload (threadtest|larson)
@@ -61,9 +56,9 @@ use hoard_core::{
     chrome_trace_json, jsonio, HoardConfig, ProfileConfig, TraceLog, TrcTrace,
 };
 use hoard_harness::{
-    heap_lock_acquisitions, heap_profile_section, lock_table, profile_trc, profile_workload,
-    record_workload, render_profile, replay_trc, report_for, scope_report,
-    traced_larson_with, BudgetFile, ProfiledRun, PROFILE_CATALOG,
+    heap_profile_section, profile_trc, profile_workload, record_workload, render_profile,
+    replay_trc, report_for, scope_report, traced_larson, BudgetFile, ProfiledRun,
+    PROFILE_CATALOG,
 };
 use hoard_workloads::server_traffic;
 
@@ -78,19 +73,17 @@ fn main() {
         Some("gen") => trc_gen(&args[1..]),
         Some("report") => trc_report(&args[1..]),
         Some("profile") => profile_cmd(&args[1..]),
-        _ if args.iter().any(|a| a == "--gate") => gate(&args),
         _ if args.iter().any(|a| a == "--demo") => demo(&args),
         Some(path) if !path.starts_with("--") => from_file(path),
         _ => {
             eprintln!(
-                "usage: hoardscope --demo [--threads N] [--quick] [--lockfree] \
+                "usage: hoardscope --demo [--threads N] [--quick] \
                  [--trace FILE] [--chrome FILE]\n       \
-                 hoardscope --gate BUDGET [--threads N] [--quick]\n       \
                  hoardscope FILE\n       \
-                 hoardscope [trc] record WORKLOAD OUT.trc [--threads N] [--quick] [--lockfree]\n       \
-                 hoardscope [trc] replay FILE.trc [--lockfree] [--twice] [--ledger]\n       \
+                 hoardscope [trc] record WORKLOAD OUT.trc [--threads N] [--quick]\n       \
+                 hoardscope [trc] replay FILE.trc [--twice] [--ledger]\n       \
                  hoardscope [trc] gen OUT.trc [--sessions N] [--workers N] [--seed S]\n       \
-                 hoardscope [trc] report FILE.trc [--lockfree] [--json OUT]\n       \
+                 hoardscope [trc] report FILE.trc [--json OUT]\n       \
                  hoardscope profile [TARGET] [--top K] [--timeline] [--gate] [--budget FILE] \
                  [--inject-leak] [--overhead] [--json OUT] [--collapsed OUT]"
             );
@@ -99,20 +92,12 @@ fn main() {
     }
 }
 
-fn hoard_config(args: &[String]) -> HoardConfig {
-    if args.iter().any(|a| a == "--lockfree") {
-        HoardConfig::with_lockfree()
-    } else {
-        HoardConfig::with_default_magazines()
-    }
-}
+/// The configuration every subcommand runs.
+const CONFIG: HoardConfig = HoardConfig::with_default_magazines();
 
-/// Value-taking flags of the `trc` subcommands (under `profile`,
-/// `--gate` is a boolean and `--top`/`--budget`/`--collapsed` take
-/// values — see [`PROFILE_VALUE_FLAGS`]).
-const TRC_VALUE_FLAGS: [&str; 6] = [
-    "--threads", "--seed", "--sessions", "--workers", "--json", "--gate",
-];
+/// Value-taking flags of the `trc` subcommands (`profile` has its own,
+/// see [`PROFILE_VALUE_FLAGS`]).
+const TRC_VALUE_FLAGS: [&str; 5] = ["--threads", "--seed", "--sessions", "--workers", "--json"];
 
 /// Value-taking flags of the `profile` subcommand.
 const PROFILE_VALUE_FLAGS: [&str; 5] = [
@@ -159,7 +144,7 @@ fn trc_record(args: &[String]) {
     }
     let threads = threads_arg(args, 4);
     let quick = args.iter().any(|a| a == "--quick");
-    let rec = record_workload(workload, hoard_config(args), threads, quick);
+    let rec = record_workload(workload, CONFIG, threads, quick);
     std::fs::write(out, rec.trc.encode()).expect("write .trc");
     eprintln!(
         "recorded {workload} P={threads}: {} records ({} allocs, {} frees, {} spilled) -> {out}",
@@ -179,11 +164,11 @@ fn trc_record(args: &[String]) {
 fn trc_replay(args: &[String]) {
     let pos = positionals(args, &TRC_VALUE_FLAGS);
     let [path] = pos[..] else {
-        eprintln!("usage: hoardscope trc replay FILE.trc [--lockfree] [--twice] [--ledger]");
+        eprintln!("usage: hoardscope trc replay FILE.trc [--twice] [--ledger]");
         std::process::exit(2);
     };
     let trc = load_trc(path);
-    let out = replay_trc(&trc, hoard_config(args)).unwrap_or_else(|e| {
+    let out = replay_trc(&trc, CONFIG).unwrap_or_else(|e| {
         eprintln!("cannot replay {path}: {e}");
         std::process::exit(2);
     });
@@ -208,7 +193,7 @@ fn trc_replay(args: &[String]) {
         print!("{}", report.ledger().render(report.per_processor()));
     }
     if args.iter().any(|a| a == "--twice") {
-        let again = replay_trc(&trc, hoard_config(args)).expect("second replay");
+        let again = replay_trc(&trc, CONFIG).expect("second replay");
         if again.digest != out.digest {
             eprintln!(
                 "replay NONDETERMINISTIC: digest {:016x} != {:016x}",
@@ -257,24 +242,23 @@ fn trc_gen(args: &[String]) {
 fn trc_report(args: &[String]) {
     let pos = positionals(args, &TRC_VALUE_FLAGS);
     let [path] = pos[..] else {
-        eprintln!("usage: hoardscope trc report FILE.trc [--lockfree] [--json OUT]");
+        eprintln!("usage: hoardscope trc report FILE.trc [--json OUT]");
         std::process::exit(2);
     };
     let trc = load_trc(path);
-    let config = hoard_config(args);
-    let out = replay_trc(&trc, config).unwrap_or_else(|e| {
+    let out = replay_trc(&trc, CONFIG).unwrap_or_else(|e| {
         eprintln!("cannot replay {path}: {e}");
         std::process::exit(2);
     });
     // A second, profiled replay supplies the report's heap_profile
     // section (the plain replay above keeps the determinism digest
     // untouched by profiling charges).
-    let profiled = profile_trc(&trc, config, ProfileConfig::default(), false, 0)
+    let profiled = profile_trc(&trc, CONFIG, ProfileConfig::default(), false, 0)
         .expect("trace replayed once already");
     let json = report_for(
         &trc,
         &out,
-        &config,
+        &CONFIG,
         Some(heap_profile_section(&profiled, 10)),
     );
     if let Some(dest) = flag_value(args, "--json") {
@@ -301,17 +285,16 @@ fn profile_cmd(args: &[String]) {
     };
     let threads = threads_arg(args, 4);
     let quick = args.iter().any(|a| a == "--quick");
-    let config = hoard_config(args);
     let pconfig = ProfileConfig::default();
 
     let runs: Vec<ProfiledRun> = match pos[..] {
         [] => PROFILE_CATALOG
             .iter()
-            .map(|n| profile_workload(n, config, threads, quick, pconfig, overhead, inject))
+            .map(|n| profile_workload(n, CONFIG, threads, quick, pconfig, overhead, inject))
             .collect(),
         [target] if target.ends_with(".trc") => {
             let trc = load_trc(target);
-            let mut run = profile_trc(&trc, config, pconfig, overhead, inject)
+            let mut run = profile_trc(&trc, CONFIG, pconfig, overhead, inject)
                 .unwrap_or_else(|e| {
                     eprintln!("cannot profile {target}: {e}");
                     std::process::exit(2);
@@ -321,7 +304,7 @@ fn profile_cmd(args: &[String]) {
         }
         [target] if PROFILE_CATALOG.contains(&target.as_str()) || target == "larson" => {
             vec![profile_workload(
-                target, config, threads, quick, pconfig, overhead, inject,
+                target, CONFIG, threads, quick, pconfig, overhead, inject,
             )]
         }
         _ => {
@@ -395,12 +378,7 @@ fn threads_arg(args: &[String], default: usize) -> usize {
 fn demo(args: &[String]) {
     let threads = threads_arg(args, 4);
     let quick = args.iter().any(|a| a == "--quick");
-    let config = if args.iter().any(|a| a == "--lockfree") {
-        HoardConfig::with_lockfree()
-    } else {
-        HoardConfig::with_default_magazines()
-    };
-    let run = traced_larson_with(config, threads, quick);
+    let run = traced_larson(threads, quick);
     eprintln!(
         "traced larson: {} threads, makespan {}, {} events",
         threads,
@@ -416,37 +394,6 @@ fn demo(args: &[String]) {
         eprintln!("wrote Chrome/Perfetto trace to {path} (open in ui.perfetto.dev)");
     }
     println!("{}", scope_report(&run.log, Some(&run.metrics)));
-}
-
-fn gate(args: &[String]) {
-    let budget: u64 = flag_value(args, "--gate")
-        .map(|v| v.parse().expect("--gate takes a heap-lock acquisition budget"))
-        .expect("--gate requires a budget argument");
-    let threads = threads_arg(args, 14);
-    let quick = args.iter().any(|a| a == "--quick");
-
-    let locked = traced_larson_with(HoardConfig::with_default_magazines(), threads, quick);
-    let lockfree = traced_larson_with(HoardConfig::with_lockfree(), threads, quick);
-    let locked_acqs = heap_lock_acquisitions(&locked.log);
-    let lockfree_acqs = heap_lock_acquisitions(&lockfree.log);
-
-    println!("== locked back-end (larson, {threads} threads) ==");
-    println!("{}", lock_table(&locked.log).render());
-    println!("== lock-free back-end (larson, {threads} threads) ==");
-    println!("{}", lock_table(&lockfree.log).render());
-    println!(
-        "heap-lock acquisitions: locked={locked_acqs} lockfree={lockfree_acqs} \
-         budget={budget} makespans: locked={} lockfree={}",
-        locked.makespan, lockfree.makespan
-    );
-    if lockfree_acqs > budget {
-        eprintln!(
-            "contention gate FAILED: lock-free back-end took {lockfree_acqs} \
-             heap-lock acquisitions, budget is {budget}"
-        );
-        std::process::exit(1);
-    }
-    eprintln!("contention gate passed: {lockfree_acqs} <= {budget}");
 }
 
 fn from_file(path: &str) {

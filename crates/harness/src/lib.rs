@@ -38,8 +38,8 @@ pub use heap_profile::{
     ProfiledRun, INJECTED_LEAK_SITE, PROFILE_CATALOG,
 };
 pub use scope::{
-    class_table, event_summary, heap_lock_acquisitions, lock_table, metrics_table, scope_report,
-    traced_larson, traced_larson_with, transfer_table, ScopeRun,
+    class_table, event_summary, lock_table, metrics_table, scope_report,
+    traced_larson, transfer_table, ScopeRun,
 };
 pub use speedup::{run_speedup, SpeedupPoint, SpeedupSeries};
 pub use summary::{markdown_report, summarize_speedup, CurveSummary, Shape};

@@ -34,15 +34,10 @@ pub struct ScopeRun {
 /// Run larson (the remote-free-heavy benchmark) on `threads` virtual
 /// processors with tracing and metrics attached — the standard demo and
 /// test fixture. Deterministic: the workload seed and the virtual clock
-/// are both fixed.
+/// are both fixed. The allocator runs the magazine front-end.
 pub fn traced_larson(threads: usize, quick: bool) -> ScopeRun {
-    traced_larson_with(HoardConfig::with_default_magazines(), threads, quick)
-}
-
-/// [`traced_larson`] against an explicit allocator configuration — the
-/// contention gate runs it once per back-end and diffs the lock tables.
-pub fn traced_larson_with(config: HoardConfig, threads: usize, quick: bool) -> ScopeRun {
-    let h = HoardAllocator::with_config(config).expect("valid config");
+    let h = HoardAllocator::with_config(HoardConfig::with_default_magazines())
+        .expect("valid config");
     let sink = Arc::new(TraceSink::with_config(TraceConfig {
         tracks: threads.max(1),
         capacity: 1 << 18,
@@ -66,13 +61,6 @@ pub fn traced_larson_with(config: HoardConfig, threads: usize, quick: bool) -> S
         metrics: h.metrics_snapshot().expect("registry attached"),
         makespan: result.makespan,
     }
-}
-
-/// Total heap-lock acquisitions in a trace — the contention gate's
-/// scalar. Every `LockAcquire` is one acquisition of one heap's `VLock`
-/// (magazine and lock-free back-end traffic never emits one).
-pub fn heap_lock_acquisitions(log: &TraceLog) -> u64 {
-    log.count(EventKind::LockAcquire) as u64
 }
 
 /// Count events of `kind` per `arg0` (heap or class index, depending on

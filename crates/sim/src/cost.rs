@@ -61,9 +61,9 @@ pub enum Cost {
     /// time; tracing-on overhead stays small but *visible*, the honest
     /// way to model an always-on profiler.
     TraceEvent,
-    /// One atomic read-modify-write on a potentially shared cache line
-    /// (a CAS or exchange on a Treiber-stack head, a packed remote-free
-    /// word, or a shared counter). Costlier than a private cache hit,
+    /// One atomic read-modify-write on a potentially shared cache line:
+    /// the CAS that pushes a deferred remote free onto a superblock's
+    /// packed remote-free word. Costlier than a private cache hit,
     /// cheaper than a lock handoff — and, crucially, it never extends
     /// anyone else's critical section.
     AtomicRmw,
@@ -262,10 +262,9 @@ mod tests {
     }
 
     #[test]
-    fn lockfree_costs_sit_between_hit_and_handoff() {
-        // The lock-free back-end only wins if its primitives undercut
-        // the locked protocol they replace: a CAS must be cheaper than
-        // a lock handoff.
+    fn a_deferred_free_cas_sits_between_hit_and_handoff() {
+        // A deferred remote free pays one CAS in place of the owner's
+        // lock, so it only wins if the CAS undercuts a lock handoff.
         let m = CostModel::default();
         assert!(m.get(Cost::AtomicRmw) > m.get(Cost::CacheHit));
         assert!(m.get(Cost::AtomicRmw) < m.get(Cost::LockHandoff));

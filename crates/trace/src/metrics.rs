@@ -237,9 +237,8 @@ impl MetricsRegistry {
     }
 
     /// Count a magazine refill for `heap`/`class` (a dry magazine
-    /// pulled a batch under the heap lock, or from the lock-free
-    /// back-end). A high refill *frequency* says the class's capacity
-    /// or batch size is too small.
+    /// pulled a batch under the heap lock). A high refill *frequency*
+    /// says the class's capacity or batch size is too small.
     pub fn on_magazine_refill(&self, heap: usize, class: usize) {
         if let Some(c) = self.class_cell(heap, class) {
             c.refills.fetch_add(1, Relaxed);

@@ -1,6 +1,6 @@
 //! The ledger of the repo benchmark's own traces: replay one workload's
 //! `P = 8` (or `P = 1`) trace, as `benchmark/` generates it for a seed,
-//! on `hoard`, `hoard_mag` and `hoard_lf`, and print every processor's
+//! on `hoard` and `hoard_mag`, and print every processor's
 //! clock split into the columns of `hoard_sim::Ledger` (tab-separated,
 //! virtual units), then the remote line writes by cause and touch length.
 //!
@@ -25,12 +25,13 @@ use hoard_sim::{Column, Cost, CostModel, WriteCause};
 use hoard_workloads::trace::replay;
 use std::process::ExitCode;
 
-/// The benchmark's three configurations, by its names.
-fn configs() -> [(&'static str, HoardConfig); 3] {
+/// The benchmark's configurations, by its names. (Its `hoard_lf`
+/// column now builds the `hoard_mag` configuration and prints the same
+/// cells.)
+fn configs() -> [(&'static str, HoardConfig); 2] {
     [
         ("hoard", HoardConfig::new()),
         ("hoard_mag", HoardConfig::with_default_magazines()),
-        ("hoard_lf", HoardConfig::with_lockfree()),
     ]
 }
 
@@ -42,7 +43,7 @@ fn main() -> ExitCode {
         positional.get(1).and_then(|s| s.parse::<u64>().ok()),
     ) else {
         eprintln!(
-            "usage: bench_ledger WORKLOAD SEED [hoard|hoard_mag|hoard_lf] [--p1]\n\
+            "usage: bench_ledger WORKLOAD SEED [hoard|hoard_mag] [--p1]\n\
              workloads: churn-local server-bleed prodcons-drift phase-large"
         );
         return ExitCode::from(2);
